@@ -17,6 +17,28 @@ The as-of right side (signals) is broadcast: ray.put once on the driver,
 ray.get inside the grouped kernel (per-task deserialize of a node-local
 object — never re-shipped per batch). Resume: completed partitions (valid
 manifest) are filtered out BEFORE the shuffle.
+
+run() executes as two barrier phases, each with the whole cluster:
+
+  1. read + prepare + partition tag, feeding the sort's map side;
+  2. the sort's reduce side + grouped kernel (merge, parquet, manifest).
+
+The sort is a full barrier, so no kernel task can start before phase 1
+ends. Two settings let each phase use every CPU. The read is one block per
+input file when there are at least as many files as cluster CPUs, so Ray
+adds no SplitBlocks(k) whose read generators would hold CPU slots while
+they wait for a consumer. With fewer files Ray picks the block count and
+splits them, so every CPU still gets a prepare task. And run() turns off Ray Data's
+per-operator reservation (op_resource_reservation_enabled) on its own
+Dataset: it keeps half the CPUs split evenly across read, prepare, sort and
+kernel, which across a barrier only idles cores. The switch is set on that
+Dataset's copy of the DataContext, never the caller's. feature_dataset()
+keeps the reservation: its lazy Dataset goes to callers who may chain more
+operators onto it, where the reservation protects streaming stages.
+
+Trade-off: with at least one file per CPU, parallelism in phase 1 is the
+file count, so uneven file sizes mean uneven prepare tasks; set
+engine.read_num_blocks to split them.
 """
 
 from __future__ import annotations
@@ -40,28 +62,55 @@ from ..stages.text_stage import assign_partition_batch, prepare_batch
 INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]  # prune `text` at the read
 
 
-def _input_columns(input_path: str) -> list[str]:
-    """Projection for the read: required columns plus `lang` when present
-    (prepare_batch substitutes nulls for a missing lang)."""
+# file endings each input format reads (gzip variants decode transparently)
+_INPUT_EXTS = {
+    "parquet": (".parquet",),
+    "jsonl": (".jsonl", ".json", ".jsonl.gz", ".json.gz"),
+    "csv": (".csv", ".csv.gz"),
+}
+
+
+def _input_files(cfg: PipelineConfig) -> list[str]:
+    """The one listing of the input: the files of cfg.input_format directly
+    under input_path, sorted, or input_path itself when it names a file."""
     import glob as _glob
 
-    paths = sorted(_glob.glob(f"{input_path}/*.parquet")) or [input_path]
+    ext = _INPUT_EXTS[cfg.input_format]
+    return sorted(p for p in _glob.glob(f"{cfg.input_path}/*") if p.endswith(ext)) or [
+        cfg.input_path
+    ]
+
+
+def _input_columns(files: list[str]) -> list[str]:
+    """Projection for the read: required columns plus `lang` when present
+    (prepare_batch substitutes nulls for a missing lang)."""
     try:
-        names = set(pq.read_schema(paths[0]).names)
+        names = set(pq.read_schema(files[0]).names)
     except OSError:
         return INPUT_COLUMNS
     return [c for c in INPUT_COLUMNS if c in names or c != "lang"]
 
 
-def _input_row_count(input_path: str) -> int | None:
-    """Exact input row count from parquet footers — no data read."""
-    import glob as _glob
-
-    paths = sorted(_glob.glob(f"{input_path}/*.parquet")) or [input_path]
+def _input_row_count(files: list[str]) -> int | None:
+    """Exact input row count from parquet footers — no data read. None for
+    inputs without footers (jsonl/csv, or a path that is not there)."""
     try:
-        return sum(pq.read_metadata(p).num_rows for p in paths)
-    except OSError:
+        return sum(pq.read_metadata(p).num_rows for p in files)
+    except (OSError, pa.ArrowInvalid):
         return None
+
+
+def _read_num_blocks(cfg: PipelineConfig, files: list[str]) -> int | None:
+    """Block count of the input read: engine.read_num_blocks when set, else
+    one block per input file when the files cover every cluster CPU (a
+    larger count makes Ray append SplitBlocks(k) to each read task, whose
+    generator then holds a CPU slot until the next stage has consumed all k
+    pieces). With fewer files than CPUs, or no Ray session yet, None lets
+    Ray pick a count and split the files."""
+    if cfg.engine.read_num_blocks:
+        return cfg.engine.read_num_blocks
+    cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
+    return len(files) if 0 < cpus <= len(files) else None
 
 
 def _read_input(cfg: PipelineConfig) -> ray.data.Dataset:
@@ -71,33 +120,22 @@ def _read_input(cfg: PipelineConfig) -> ray.data.Dataset:
     and normalized (warc_ts parsed to timestamp[us]) in a map stage, since
     row formats cannot prune columns before decode."""
     fmt = cfg.input_format
+    files = _input_files(cfg)
+    num_blocks = _read_num_blocks(cfg, files)
     if fmt == "parquet":
         return ray.data.read_parquet(
             cfg.input_path,
-            columns=_input_columns(cfg.input_path),
-            override_num_blocks=cfg.engine.read_num_blocks,
+            columns=_input_columns(files),
+            override_num_blocks=num_blocks,
         )
-    import glob as _glob
-
-    import pyarrow.compute as pc
-
-    # gzip variants read transparently (Arrow sniffs by extension)
-    ext = (
-        (".jsonl", ".json", ".jsonl.gz", ".json.gz")
-        if fmt == "jsonl"
-        else (".csv", ".csv.gz")
-    )
-    paths = sorted(
-        p for p in _glob.glob(f"{cfg.input_path}/*") if p.endswith(ext)
-    ) or [cfg.input_path]
     if fmt == "jsonl":
-        ds = ray.data.read_json(paths, override_num_blocks=cfg.engine.read_num_blocks)
+        ds = ray.data.read_json(files, override_num_blocks=num_blocks)
     else:
         from pyarrow import csv as _pacsv
 
         ds = ray.data.read_csv(
-            paths,
-            override_num_blocks=cfg.engine.read_num_blocks,
+            files,
+            override_num_blocks=num_blocks,
             # html payloads embed newlines inside quoted fields
             parse_options=_pacsv.ParseOptions(newlines_in_values=True),
         )
@@ -124,7 +162,7 @@ def _build_partitioner(cfg: PipelineConfig):
     # Row count comes from parquet FOOTERS and the sample from a raw
     # column-pruned read — never from the prepared dataset, which would
     # execute the whole extract stage once just to count (round-1 verdict #4)
-    n = _input_row_count(cfg.input_path) or 1
+    n = _input_row_count(_input_files(cfg)) or 1
     frac = min(1.0, e.range_sample_size / max(1, n))
     sample = (
         ray.data.read_parquet(cfg.input_path, columns=["url"])
@@ -295,10 +333,7 @@ def _replicate_signals_batch(tbl: pa.Table, partitioner: HostSaltPartitioner) ->
 def _sample_hosts(cfg: PipelineConfig) -> list[str]:
     """Driver-side host sample for hot detection (metadata row count + a
     column-pruned sampled read — never a full materialization)."""
-    import glob as _glob
-
-    paths = sorted(_glob.glob(f"{cfg.input_path}/*.parquet")) or [cfg.input_path]
-    total = sum(pq.read_metadata(p).num_rows for p in paths)
+    total = sum(pq.read_metadata(p).num_rows for p in _input_files(cfg))
     frac = min(1.0, cfg.engine.range_sample_size / max(1, total))
     sample = (
         ray.data.read_parquet(cfg.input_path, columns=["url"]).random_sample(frac, seed=7).take_all()
@@ -576,13 +611,17 @@ def run(cfg: PipelineConfig) -> dict:
         fn = _make_group_fn(
             cfg.features, signals_ref, output_dir=cfg.engine.output_dir, lineage=lineage
         )
-    manifest_rows = ds.groupby("partition_id").map_groups(fn, batch_format="pyarrow").take_all()
+    ds = ds.groupby("partition_id").map_groups(fn, batch_format="pyarrow")
+    # across the sort barrier the per-operator reservation only idles cores
+    # (module docstring); ds.context is this Dataset's own DataContext copy
+    ds.context.op_resource_reservation_enabled = False
+    manifest_rows = ds.take_all()  # one manifest row per partition_id
     report = job_report(list(done.values()) + manifest_rows)
     report["resumed_partitions"] = len(done)
     # quarantine accounting: prepare is 1:1 except for quarantined rows, so
     # footer row count minus prepared rows IS the quarantined count (bad rows
     # are dropped pre-partition, so they belong to no partition manifest)
-    input_rows = _input_row_count(cfg.input_path)
+    input_rows = _input_row_count(_input_files(cfg))
     if input_rows is not None:
         report["rows_quarantined"] = max(0, input_rows - report["rows_in"])
     return report

@@ -1886,7 +1886,7 @@ FROM (
 # counts in pytest (same 5% HLL bound as the global sketch).
 
 
-def hll_distinct_langs_exact(sf_dir: str):
+def hll_distinct_langs_exact(sf_dir: str, p: int = HLL_P):
     """The HLL register pipeline in its COLLISION-FREE exact regime (round-3
     VERDICT: pick a register count under which the fixture counts exactly):
     the counted domain here — distinct `lang` values, a handful — is tiny
@@ -1895,10 +1895,13 @@ def hll_distinct_langs_exact(sf_dir: str):
     verified at every fixture scale) and registers_used IS the exact
     distinct count. Same per-batch register partials and element-wise-max
     merge as docs_hll_tokens, so the sketch plumbing gets a driver-visible
-    hash-exact check; the wide-domain estimate paths stay rows-only."""
+    hash-exact check; the wide-domain estimate paths stay rows-only.
+
+    `p` is the register width (2^p registers); the registered query uses
+    HLL_P. A narrower width exists to exercise the collision audit."""
     from ..functions.hashing import string_hash_strong
 
-    m = 1 << HLL_P
+    m = 1 << p
 
     def partial(tbl: pa.Table) -> pa.Table:
         uniq = pc.unique(tbl.column("lang").combine_chunks()
@@ -1907,7 +1910,7 @@ def hll_distinct_langs_exact(sf_dir: str):
         h = string_hash_strong(uniq)
         reg = np.zeros(m, dtype=np.uint8)
         if h.size:
-            idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
+            idx = (h >> np.uint64(64 - p)).astype(np.int64)
             reg[idx] = 1  # presence is all the exact regime needs
         # also ship the batch's distinct lang strings (bounded domain) so
         # the driver can VERIFY the collision-free assumption instead of
@@ -1950,7 +1953,7 @@ def hll_distinct_langs_exact(sf_dir: str):
 
         raise SchemaError(
             f"hll_distinct_langs_exact collision: {len(seen)} distinct langs map "
-            f"to {n_regs} registers at p={HLL_P} — exact regime violated; raise "
+            f"to {n_regs} registers at p={p} — exact regime violated; raise "
             "HLL_P or use the estimate path (docs_hll_by_lang)"
         )
     return pd.DataFrame({"n_langs": [np.int64(n_regs)]})

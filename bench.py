@@ -115,27 +115,29 @@ def run_bench() -> dict:
     out_dir = f"{out_root}/afe_bench_out"
     # fixed layout at every parallelism level so the scaling runs execute the
     # identical plan (only the worker count varies). The sort-based shuffle
-    # emits one merge task per upstream block, so: read_num_blocks=64 (2 full
-    # waves at 32 cpus, 8 at 8 — no partial straggler wave), batch_size just
-    # under rows-per-block so one block = one prepare task, and
-    # num_partitions=960 so each sampled sort range holds ~15 partitions and
-    # ranges even out by ROW count (96 partitions over ~45 blocks left 1-4
-    # partitions per task — a 4x straggler tail, measured round 3: this
-    # layout beats that by ~30% at 32 cpus in same-window A/B)
-    from audio_feature_extraction_ray.pipelines.features import _input_row_count
+    # emits one merge task per upstream block. Round 3 set read_num_blocks=64
+    # (2 full waves at 32 cpus) and measured it ~30% faster at 32 cpus than
+    # Ray's default ~45 uneven blocks, when Ray Data still reserved CPUs per
+    # operator. features.run now drops that reservation and reads one block
+    # per file when files >= cpus (32 here), because read_num_blocks=64 would
+    # split every read task and hold CPU slots in its generators; that was
+    # measured faster only at 4 cpus on sf0.01 (4 files). The 32-cpu sf0.1
+    # layout is UNMEASURED. batch_size is half a file's rows: one block is
+    # one prepare task, in two batches. num_partitions=960 so each sampled
+    # sort range holds many partitions and ranges even out by ROW count (96
+    # partitions over ~45 blocks left 1-4 partitions per task — a 4x
+    # straggler tail, measured round 3)
+    from audio_feature_extraction_ray.pipelines.features import _input_files, _input_row_count
 
-    n_rows = _input_row_count(pages_dir) or 1_800_000
-    nb = 64
+    n_rows = _input_row_count(_input_files(PipelineConfig(input_path=pages_dir))) or 1_800_000
     cfg = PipelineConfig(
         input_path=pages_dir,
         features=FeatureConfig(signals_path=signals_path),
         engine=EngineConfig(
-            # ~15 partitions per reduce block and ~1.9k rows per partition at
-            # the bench scale; clamped so smaller fixtures stay sensible
+            # ~1.9k rows per partition at the bench scale; clamped so
+            # smaller fixtures stay sensible
             num_partitions=max(96, min(960, n_rows // 1875)),
-            # just UNDER rows-per-block so each read block is one map bundle
-            batch_size=max(2048, n_rows // nb - 100),
-            read_num_blocks=nb,
+            batch_size=max(2048, n_rows // 64),
             output_dir=out_dir,
         ),
     )

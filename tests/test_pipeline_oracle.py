@@ -398,3 +398,100 @@ def test_resume_rejects_stale_config(ray_session, small_fixture_dir, tmp_path):
     # and resuming again with the SAME config reuses everything
     rep2 = run(cfg2)
     assert rep2["resumed_partitions"] == 8
+
+
+# ---------------------------------------------------------------------------
+# Plan shape of run(): one read block per input file when the files cover
+# the session's 4 CPUs, Ray's own split below that, and Ray's per-operator
+# CPU reservation off on run()'s own Dataset only.
+
+
+@pytest.fixture(scope="module")
+def four_file_dir(tmp_path_factory):
+    from audio_feature_extraction_ray.testdata import materialize_fixture
+
+    return materialize_fixture(tmp_path_factory.mktemp("afe_4files"), 2000, n_files=4)
+
+
+def _run_capturing(cfg, monkeypatch):
+    """run(cfg), plus the Dataset it executed and that Dataset's operator
+    names (upstream first)."""
+    import ray.data
+
+    captured = []
+    orig = ray.data.Dataset.take_all
+
+    def take_all(self, *args, **kwargs):
+        captured.append(self)
+        return orig(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ray.data.Dataset, "take_all", take_all)
+        report = run(cfg)
+    ds = captured[-1]
+    names, node = [], ds._get_stats_summary()
+    while node is not None:
+        names = [op.operator_name for op in node.operators_stats] + names
+        node = node.parents[0] if node.parents else None
+    return report, ds, names
+
+
+def _checksums(out) -> dict:
+    from audio_feature_extraction_ray.state.checkpoint import load_completed
+
+    return {pid: m["checksum"] for pid, m in load_completed(out).items()}
+
+
+def test_run_reads_one_block_per_file(ray_session, four_file_dir, tmp_path, monkeypatch):
+    pages_dir, signals_path = four_file_dir
+    _, ds, names = _run_capturing(_cfg(pages_dir, signals_path, out=str(tmp_path / "o")), monkeypatch)
+    reads = [n for n in names if n.startswith("ReadParquet")]
+    assert reads == ["ReadParquet"], names
+    assert ds.context.op_resource_reservation_enabled is False
+
+
+def test_run_leaves_global_data_context(ray_session, four_file_dir, tmp_path):
+    from ray.data import DataContext
+
+    pages_dir, signals_path = four_file_dir
+    before = DataContext.get_current().op_resource_reservation_enabled
+    run(_cfg(pages_dir, signals_path, out=str(tmp_path / "o")))
+    assert DataContext.get_current().op_resource_reservation_enabled == before
+    # feature_dataset() hands its Dataset to callers: reservation untouched
+    ds = feature_dataset(_cfg(pages_dir, signals_path))
+    assert ds.context.op_resource_reservation_enabled == before
+
+
+def test_block_layout_never_changes_output(ray_session, four_file_dir, tmp_path, monkeypatch):
+    """A read forced to split (2 blocks per file) and the default one block
+    per file write byte-identical partitions."""
+    pages_dir, signals_path = four_file_dir
+    default = _cfg(pages_dir, signals_path, out=str(tmp_path / "default"))
+    split = _cfg(pages_dir, signals_path, out=str(tmp_path / "split"))
+    split.engine.read_num_blocks = 8
+    rep_d, _, _ = _run_capturing(default, monkeypatch)
+    rep_s, _, names = _run_capturing(split, monkeypatch)
+    assert [n for n in names if n.startswith("ReadParquet")] == ["ReadParquet->SplitBlocks(2)"]
+    assert rep_s["rows_out"] == rep_d["rows_out"] > 0
+    assert len(_checksums(default.engine.output_dir)) == 8
+    assert _checksums(split.engine.output_dir) == _checksums(default.engine.output_dir)
+
+
+def test_run_single_file_and_zero_row_inputs(ray_session, small_fixture_dir, tmp_path, monkeypatch):
+    """Fewer files than CPUs: Ray splits the read, so a one-file input still
+    gets a prepare task per CPU instead of running as one task."""
+    pages_dir, signals_path = small_fixture_dir
+    one = sorted(glob.glob(f"{pages_dir}/*.parquet"))[0]
+    n = pq.read_metadata(one).num_rows
+    rep, ds, names = _run_capturing(_cfg(one, signals_path, out=str(tmp_path / "one")), monkeypatch)
+    [read] = [op for op in names if op.startswith("ReadParquet")]
+    assert read.startswith("ReadParquet->SplitBlocks("), names
+    assert ds.context.op_resource_reservation_enabled is False
+    assert rep["rows_in"] == n and rep["rows_quarantined"] == 0
+    assert rep["rows_out"] == rep["rows_in"] - rep["dup_dropped"] > 0
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    pq.write_table(pq.read_table(one).slice(0, 0), empty / "pages.parquet")
+    rep = run(_cfg(empty, signals_path, out=str(tmp_path / "none")))
+    assert rep["rows_in"] == rep["rows_out"] == rep["rows_quarantined"] == 0

@@ -64,21 +64,26 @@ def test_length_quantile_hist_boundary_doc_passes(ray_session, tmp_path):
     assert df.loc["en", "p99"] == (LENGTH_QUANTILE_BINS - 1) + 0.5
 
 
-def test_hll_langs_exact_collision_raises(ray_session, tmp_path, monkeypatch):
-    """Force the collision the runtime audit exists to catch: with HLL_P=1
+def test_hll_langs_exact_collision_raises(ray_session, tmp_path):
+    """Force the collision the runtime audit exists to catch: with p=1
     (2 registers) and 3 distinct langs, pigeonhole guarantees two langs
     share a register — the exact-regime COUNT(DISTINCT) contract is
     violated and the op must raise, not undercount (ADVICE r5)."""
     from audio_feature_extraction_ray.errors import SchemaError
-    from audio_feature_extraction_ray.pipelines import text_analysis as ta
+    from audio_feature_extraction_ray.pipelines.text_analysis import (
+        hll_distinct_langs_exact,
+    )
 
-    monkeypatch.setattr(ta, "HLL_P", 1)
     sf = _docs_fixture(
         tmp_path, ["a", "b", "c"], langs=["en", "de", "fr"], name="sfd9c"
     )
-    with pytest.raises(Exception) as ei:
-        ta.hll_distinct_langs_exact(sf)
-    assert "collision" in str(ei.value) or isinstance(ei.value, SchemaError)
+    # the audit runs on the driver after the fold, so the SchemaError is
+    # raised as is, not wrapped by Ray
+    with pytest.raises(
+        SchemaError,
+        match=r"^hll_distinct_langs_exact collision: 3 distinct langs map to 2 registers at p=1 ",
+    ):
+        hll_distinct_langs_exact(sf, p=1)
 
 
 def test_hll_langs_exact_audit_passes_at_default_width(ray_session, tmp_path):
