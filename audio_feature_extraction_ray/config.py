@@ -75,13 +75,15 @@ class EngineConfig:
     range_sample_size: int = 10_000  # driver-side url sample for range bounds
     hot_salt: int = 4               # salts applied to ranges holding > 2x median rows
     batch_size: int = 4096          # map_batches batch size for stateless stages
-    # Block count of the pages read. None = one block per input file when
-    # there are at least as many files as cluster CPUs (a larger count makes
-    # Ray split each read task's output (SplitBlocks), and the split
-    # generators hold CPU slots while they wait for the next stage), and
-    # Ray's own count when there are fewer. The sort-based shuffle emits one
-    # reduce block (-> one grouped kernel task) per upstream block. Set this
-    # only to split uneven or very large files. Pair with batch_size <=
+    # Block count of the pages read. None = stages.exchange.read_num_blocks:
+    # one block per input file when there are at least as many files as
+    # cluster CPUs (a larger count makes Ray split each read task's output
+    # (SplitBlocks), and the split generators hold CPU slots while they wait
+    # for the next stage); with fewer parquet files, ceil(footer bytes /
+    # DataContext.target_min_block_size) blocks when that is below 2 x CPUs;
+    # otherwise Ray's own count. The sort-based shuffle emits one reduce
+    # block (-> one grouped kernel task) per upstream block. Set this only to
+    # split uneven or very large files. Pair with batch_size <=
     # rows-per-block so one read block = one map task.
     read_num_blocks: int | None = None
     broadcast_signals_max_rows: int = 5_000_000  # above this, co-partition instead of broadcast

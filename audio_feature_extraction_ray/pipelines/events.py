@@ -5,9 +5,15 @@ Same operator family as the flagship pages pipeline (as-of, LOCF, lag/lead,
 sessionization, rolling windows — SURVEY §2.3/2.5/2.9), expressed over the
 driver's testdata so every operator has a DuckDB SQL oracle.
 
-Execution idiom (identical to pipelines/features.py): entity-hash partition
--> groupby(partition_id).map_groups(vectorized kernel over the sorted
-partition). Entity = user_id; a user never spans partitions. Money values are
+Execution idiom (identical to pipelines/features.py): read_events ->
+entity-hash partition -> groupby(partition_id).map_groups(vectorized kernel
+over the sorted partition). Entity = user_id; a user never spans
+partitions. The sort emits one reduce block per read block, so read_events
+sizes its read with the same rule as the pages read
+(stages.exchange.read_num_blocks): events is one file, so a table under
+2 x CPUs x target_min_block_size of footer bytes reads as
+ceil(bytes / target_min_block_size) blocks (one block for the sf0.01
+table), and a larger one keeps Ray's own split. Money values are
 aggregated as integer cents so distributed results are bit-identical to the
 SQL oracle (no float-summation-order drift).
 
@@ -28,6 +34,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..errors import SchemaError
+from ..stages.exchange import read_num_blocks
 from ..state.kernels import _propagate_last
 
 NUM_PARTITIONS = 32
@@ -35,7 +42,10 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def read_events(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=columns)
+    path = f"{sf_dir}/events.parquet"
+    return ray.data.read_parquet(
+        path, columns=columns, override_num_blocks=read_num_blocks([path])
+    )
 
 
 def _assign_pid(tbl: pa.Table, key: str, num_partitions: int) -> pa.Table:

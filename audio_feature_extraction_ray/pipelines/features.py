@@ -24,17 +24,26 @@ run() executes as two barrier phases, each with the whole cluster:
   2. the sort's reduce side + grouped kernel (merge, parquet, manifest).
 
 The sort is a full barrier, so no kernel task can start before phase 1
-ends. Two settings let each phase use every CPU. The read is one block per
-input file when there are at least as many files as cluster CPUs, so Ray
-adds no SplitBlocks(k) whose read generators would hold CPU slots while
-they wait for a consumer. With fewer files Ray picks the block count and
-splits them, so every CPU still gets a prepare task. And run() turns off Ray Data's
-per-operator reservation (op_resource_reservation_enabled) on its own
-Dataset: it keeps half the CPUs split evenly across read, prepare, sort and
-kernel, which across a barrier only idles cores. The switch is set on that
-Dataset's copy of the DataContext, never the caller's. feature_dataset()
-keeps the reservation: its lazy Dataset goes to callers who may chain more
-operators onto it, where the reservation protects streaming stages.
+ends, and it emits one reduce block per read block, so the read's block
+count is the task count on both sides. `stages.exchange.read_num_blocks`
+picks it in three branches:
+
+  * at least as many input files as cluster CPUs: one block per file, so
+    Ray adds no SplitBlocks(k) whose read generators would hold CPU slots
+    while they wait for a consumer;
+  * fewer parquet files: ceil(footer bytes / target_min_block_size) blocks
+    when that is below 2 x CPUs, so a small input is not cut into 2 x CPUs
+    blocks whose per-task overhead exceeds their work;
+  * otherwise Ray picks the count and splits the files, so a large one-file
+    input still gets a prepare task per CPU.
+
+run() also turns off Ray Data's per-operator reservation
+(op_resource_reservation_enabled) on its own Dataset: it keeps half the
+CPUs split evenly across read, prepare, sort and kernel, which across a
+barrier only idles cores. The switch is set on that Dataset's copy of the
+DataContext, never the caller's. feature_dataset() keeps the reservation:
+its lazy Dataset goes to callers who may chain more operators onto it,
+where the reservation protects streaming stages.
 
 Trade-off: with at least one file per CPU, parallelism in phase 1 is the
 file count, so uneven file sizes mean uneven prepare tasks; set
@@ -57,6 +66,7 @@ from ..functions.hashing import string_hash_strong
 from ..state.checkpoint import job_report, load_completed, write_partition, write_partition_stream
 from ..state.kernels import SignalsLookup, merge_partition, merge_partition_chunks
 from ..state.partition import HashPartitioner, HostSaltPartitioner, RangePartitioner
+from ..stages.exchange import read_num_blocks
 from ..stages.text_stage import assign_partition_batch, prepare_batch
 
 INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]  # prune `text` at the read
@@ -102,15 +112,10 @@ def _input_row_count(files: list[str]) -> int | None:
 
 def _read_num_blocks(cfg: PipelineConfig, files: list[str]) -> int | None:
     """Block count of the input read: engine.read_num_blocks when set, else
-    one block per input file when the files cover every cluster CPU (a
-    larger count makes Ray append SplitBlocks(k) to each read task, whose
-    generator then holds a CPU slot until the next stage has consumed all k
-    pieces). With fewer files than CPUs, or no Ray session yet, None lets
-    Ray pick a count and split the files."""
-    if cfg.engine.read_num_blocks:
-        return cfg.engine.read_num_blocks
-    cpus = int(ray.cluster_resources().get("CPU", 0)) if ray.is_initialized() else 0
-    return len(files) if 0 < cpus <= len(files) else None
+    the shared rule of stages.exchange.read_num_blocks (one block per file
+    when the files cover every cluster CPU; a footer-sized count for a small
+    parquet input; None, so Ray splits, for everything else)."""
+    return cfg.engine.read_num_blocks or read_num_blocks(files)
 
 
 def _read_input(cfg: PipelineConfig) -> ray.data.Dataset:

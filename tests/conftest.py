@@ -22,6 +22,22 @@ def ray_session():
     ray.shutdown()
 
 
+# read_events sizes a small table from its parquet footer, and a few-row
+# events table has about 480 footer bytes per row group, so it reads as one
+# block. Tests that mean to cover multi-block partitions request this
+# fixture: it lowers Ray's target_min_block_size below one row group, so any
+# non-empty table reads as two blocks or more (tables past 2 x CPUs x this
+# size take Ray's own split).
+SPLIT_MIN_BLOCK_BYTES = 256
+
+
+@pytest.fixture
+def split_reads(monkeypatch):
+    from ray.data import DataContext
+
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", SPLIT_MIN_BLOCK_BYTES)
+
+
 @pytest.fixture(scope="session")
 def small_fixture():
     """(pages Table, signals Table) at sf-small, deterministic."""

@@ -402,8 +402,9 @@ def test_resume_rejects_stale_config(ray_session, small_fixture_dir, tmp_path):
 
 # ---------------------------------------------------------------------------
 # Plan shape of run(): one read block per input file when the files cover
-# the session's 4 CPUs, Ray's own split below that, and Ray's per-operator
-# CPU reservation off on run()'s own Dataset only.
+# the session's 4 CPUs; below that, footer-sized blocks for a small input and
+# Ray's own split for a large one; and Ray's per-operator CPU reservation off
+# on run()'s own Dataset only.
 
 
 @pytest.fixture(scope="module")
@@ -478,17 +479,31 @@ def test_block_layout_never_changes_output(ray_session, four_file_dir, tmp_path,
 
 
 def test_run_single_file_and_zero_row_inputs(ray_session, small_fixture_dir, tmp_path, monkeypatch):
-    """Fewer files than CPUs: Ray splits the read, so a one-file input still
-    gets a prepare task per CPU instead of running as one task."""
+    """Fewer files than CPUs: a small file reads as the blocks its footer
+    bytes fill (one here), and a file past 2 x CPUs x target_min_block_size
+    takes Ray's split, so a large one-file input still gets a prepare task
+    per CPU instead of running as one task."""
+    from ray.data import DataContext
+
+    from audio_feature_extraction_ray.stages.exchange import _footer_bytes
+
     pages_dir, signals_path = small_fixture_dir
     one = sorted(glob.glob(f"{pages_dir}/*.parquet"))[0]
     n = pq.read_metadata(one).num_rows
+    rep, _, names = _run_capturing(_cfg(one, signals_path, out=str(tmp_path / "tiny")), monkeypatch)
+    assert [op for op in names if op.startswith("ReadParquet")] == ["ReadParquet"], names
+    assert rep["rows_in"] == n and rep["rows_out"] == rep["rows_in"] - rep["dup_dropped"] > 0
+    tiny = _checksums(str(tmp_path / "tiny"))
+
+    nbytes = _footer_bytes([one])
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", nbytes // 16)
     rep, ds, names = _run_capturing(_cfg(one, signals_path, out=str(tmp_path / "one")), monkeypatch)
     [read] = [op for op in names if op.startswith("ReadParquet")]
     assert read.startswith("ReadParquet->SplitBlocks("), names
     assert ds.context.op_resource_reservation_enabled is False
     assert rep["rows_in"] == n and rep["rows_quarantined"] == 0
     assert rep["rows_out"] == rep["rows_in"] - rep["dup_dropped"] > 0
+    assert _checksums(str(tmp_path / "one")) == tiny
 
     empty = tmp_path / "empty"
     empty.mkdir()

@@ -11,6 +11,7 @@ from audio_feature_extraction_ray.pipelines.events import (
     TARGET_ENC_U,
     VALUE_BINS,
     quantile_bins,
+    read_events,
     target_encode,
     value_bins,
 )
@@ -38,11 +39,12 @@ def _events_fixture(tmp_path, types, values):
     )
     sf = tmp_path / "sf"
     sf.mkdir(exist_ok=True)
-    pq.write_table(tbl, sf / "events.parquet", row_group_size=2)  # several blocks
+    pq.write_table(tbl, sf / "events.parquet", row_group_size=2)
+    assert tbl.num_rows == 0 or read_events(str(sf)).materialize().num_blocks() > 1
     return str(sf)
 
 
-def test_target_encode_singleton_category_falls_back_to_global_mean(tmp_path):
+def test_target_encode_singleton_category_falls_back_to_global_mean(ray_session, tmp_path, split_reads):
     # 'solo' occurs once -> LOO undefined -> global mean (micro-cents, floored)
     sf = _events_fixture(
         tmp_path,
@@ -59,20 +61,20 @@ def test_target_encode_singleton_category_falls_back_to_global_mean(tmp_path):
     assert int(df.loc[4, "loo_enc_u"]) == 600 * int(TARGET_ENC_U)
 
 
-def test_value_bins_degenerate_span_puts_everything_in_bin_zero(tmp_path):
+def test_value_bins_degenerate_span_puts_everything_in_bin_zero(ray_session, tmp_path, split_reads):
     sf = _events_fixture(tmp_path, ["a"] * 5, [7.25] * 5)
     df = value_bins(sf).to_pandas()
     assert (df["bin"] == 0).all()
 
 
-def test_value_bins_extremes_land_in_first_and_last_bin(tmp_path):
+def test_value_bins_extremes_land_in_first_and_last_bin(ray_session, tmp_path, split_reads):
     sf = _events_fixture(tmp_path, ["a"] * 4, [0.00, 1.00, 2.00, 3.00])
     df = value_bins(sf).to_pandas().sort_values("event_id")
     assert int(df["bin"].iloc[0]) == 0
     assert int(df["bin"].iloc[-1]) == VALUE_BINS - 1
 
 
-def test_quantile_bins_tie_heavy_matches_naive(tmp_path):
+def test_quantile_bins_tie_heavy_matches_naive(ray_session, tmp_path, split_reads):
     import math
 
     vals = [1.0] * 10 + [2.0] * 10 + [3.0] * 2
@@ -125,7 +127,7 @@ def test_bm25_scores_rank_matching_docs_and_skip_nonmatching(tmp_path):
     assert df["score"].iloc[0] > df["score"].iloc[1] > 0
 
 
-def test_round5_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_round5_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     """0-row and 1-row inputs flow through every round-5 operator without
     crashing (empty stats folds return None — each op must guard)."""
     from audio_feature_extraction_ray.pipelines.events import (
@@ -155,7 +157,7 @@ def test_round5_ops_empty_and_single_row_inputs(ray_session, tmp_path):
             assert len(df) <= max(n, 1)
 
 
-def test_hive_partitioned_read_prunes_directories(ray_session, tmp_path):
+def test_hive_partitioned_read_prunes_directories(ray_session, tmp_path, split_reads):
     """The pruning contract: key=value directories outside the allowed set
     never contribute files to the plan (checked via input_files), and the
     partition value is re-attached correctly."""
@@ -191,7 +193,7 @@ def test_hive_partitioned_read_prunes_directories(ray_session, tmp_path):
     assert ds0.count() == 0
 
 
-def test_cusum_matches_naive_per_user(ray_session, tmp_path):
+def test_cusum_matches_naive_per_user(ray_session, tmp_path, split_reads):
     """The prefix-doubling segmented running min (and the scaled-integer
     CUSUM built on it) against a naive per-user Python loop, on a fixture
     with interleaved users, duplicates, and a planted level shift."""
@@ -218,6 +220,7 @@ def test_cusum_matches_naive_per_user(ray_session, tmp_path):
     sf = tmp_path / "sfc"
     sf.mkdir()
     pq.write_table(tbl, sf / "events.parquet", row_group_size=37)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
 
     got = cusum_stats(str(sf)).to_pandas().set_index("user_id").sort_index()
 
@@ -290,7 +293,7 @@ def test_bloom_join_contract(ray_session, tmp_path):
 # session-3 additions: interval join, unpivot, vocab build + encode
 
 
-def test_interval_join_matches_naive(ray_session, tmp_path):
+def test_interval_join_matches_naive(ray_session, tmp_path, split_reads):
     """Interleaved users, a follower exactly AT the window edge (included),
     one AT the signup ts (excluded: strict >), a signup with zero
     followers, overlapping windows from two signups of one user — all
@@ -324,6 +327,7 @@ def test_interval_join_matches_naive(ray_session, tmp_path):
     sf = tmp_path / "sfij"
     sf.mkdir()
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
 
     got = (
         interval_join_signup(str(sf))
@@ -350,7 +354,7 @@ def test_interval_join_matches_naive(ray_session, tmp_path):
     assert list(map(tuple, got.itertuples(index=False))) == exp
 
 
-def test_unpivot_is_exact_inverse_of_pivot(ray_session, tmp_path):
+def test_unpivot_is_exact_inverse_of_pivot(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         PIVOT_TYPES,
         unpivot_user_type,
@@ -415,7 +419,7 @@ def test_vocab_encode_positions_match_naive(ray_session, tmp_path):
     assert list(map(tuple, got.itertuples(index=False))) == exp
 
 
-def test_session3_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_session3_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         interval_join_signup,
         unpivot_user_type,
@@ -453,10 +457,11 @@ def _events_fixture_rows(tmp_path, rows, name="sfr"):
     sf = tmp_path / name
     sf.mkdir(exist_ok=True)
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert tbl.num_rows == 0 or read_events(str(sf)).materialize().num_blocks() > 1
     return str(sf)
 
 
-def test_gap_buckets_counts_missing_hours(ray_session, tmp_path):
+def test_gap_buckets_counts_missing_hours(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         GAP_BUCKET_US,
         gap_buckets,
@@ -478,7 +483,7 @@ def test_gap_buckets_counts_missing_hours(ray_session, tmp_path):
     assert df.values.tolist() == [[1, 4, 2, 2], [2, 1, 1, 0]]
 
 
-def test_resample_interp_matches_naive(ray_session, tmp_path):
+def test_resample_interp_matches_naive(ray_session, tmp_path, split_reads):
     """Midnight-exact endpoints (grid strictly inside), duplicate-ts ties
     at a grid point (prev = max event_id, next = min event_id), and plain
     interior interpolation — against a per-point naive scan."""
@@ -536,7 +541,7 @@ def test_resample_interp_matches_naive(ray_session, tmp_path):
     assert day2["interp_value"].iloc[0] == 6.0  # (500 + (700-500)*0.5)/100
 
 
-def test_jackknife_se_matches_naive_and_handles_single_user(ray_session, tmp_path):
+def test_jackknife_se_matches_naive_and_handles_single_user(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import jackknife_se
 
     # 3 users with uneven weights
@@ -569,7 +574,7 @@ def test_jackknife_se_matches_naive_and_handles_single_user(ray_session, tmp_pat
     assert df1["jackknife_se"].iloc[0] == 0.0
 
 
-def test_trend_slope_recovers_planted_line(ray_session, tmp_path):
+def test_trend_slope_recovers_planted_line(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         TREND_ANCHOR_US,
         TREND_HOUR_US,
@@ -647,7 +652,7 @@ def test_lang_source_mi_independent_vs_dependent(ray_session, tmp_path):
     assert lang_source_mi(dep)["mi_nats"].iloc[0] == np.floor(np.log(2) * 1e6 + 0.5) / 1e6
 
 
-def test_churn_labels_cutoff_boundary(ray_session, tmp_path):
+def test_churn_labels_cutoff_boundary(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         CHURN_GAP_US,
         churn_labels,
@@ -671,7 +676,7 @@ def test_churn_labels_cutoff_boundary(ray_session, tmp_path):
     assert df.loc[3, "n_events"] == 2
 
 
-def test_user_entropy_uniform_and_singleton(ray_session, tmp_path):
+def test_user_entropy_uniform_and_singleton(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import user_entropy
 
     rows = [
@@ -694,7 +699,7 @@ def test_user_entropy_uniform_and_singleton(ray_session, tmp_path):
     assert df.loc[3, "type_entropy"] == ln2 and df.loc[3, "n_events"] == 4
 
 
-def test_autocorr1_planted_series_and_edges(ray_session, tmp_path):
+def test_autocorr1_planted_series_and_edges(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import autocorr1
 
     rows = [
@@ -726,7 +731,7 @@ def test_autocorr1_planted_series_and_edges(ray_session, tmp_path):
     assert df.loc[4, "autocorr1"] == 1.0 and df.loc[4, "n_pairs"] == 2
 
 
-def test_survival_counts_risk_table(ray_session, tmp_path):
+def test_survival_counts_risk_table(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         CHURN_GAP_US,
         SURVIVAL_HOUR_US,
@@ -757,7 +762,7 @@ def test_survival_counts_risk_table(ray_session, tmp_path):
     assert df.loc[5, "n_at_risk"] == 1 and df.loc[5, "n_churned"] == 1
 
 
-def test_activity_gini_known_values(ray_session, tmp_path):
+def test_activity_gini_known_values(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import activity_gini
 
     # equal counts -> gini 0
@@ -851,7 +856,7 @@ def test_source_hhi_known_shares(ray_session, tmp_path):
     assert df.loc[0, "n_sources"] == 2 and df.loc[0, "n_docs"] == 4
 
 
-def test_burstiness_periodic_and_degenerate(ray_session, tmp_path):
+def test_burstiness_periodic_and_degenerate(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import burstiness
 
     S = 1_000_000  # 1 second in us
@@ -883,7 +888,7 @@ def test_burstiness_periodic_and_degenerate(ray_session, tmp_path):
     assert df.loc[4, "burstiness"] == 0.0
 
 
-def test_hour_uniformity_known_chi2(ray_session, tmp_path):
+def test_hour_uniformity_known_chi2(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import hour_uniformity
 
     H = 3_600_000_000
@@ -899,7 +904,7 @@ def test_hour_uniformity_known_chi2(ray_session, tmp_path):
     assert df.loc["b", "n"] == 24
 
 
-def test_wau_daily_window_semantics(ray_session, tmp_path):
+def test_wau_daily_window_semantics(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import WAU_DAY_US, wau_daily
 
     D = WAU_DAY_US
@@ -923,7 +928,7 @@ def test_wau_daily_window_semantics(ray_session, tmp_path):
     assert df.index.max() == 10
 
 
-def test_circadian_phase_point_mass_and_balance(ray_session, tmp_path):
+def test_circadian_phase_point_mass_and_balance(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import circadian_phase
 
     H = 3_600_000_000
@@ -1001,7 +1006,7 @@ def test_source_js_identical_and_disjoint(ray_session, tmp_path):
     assert df.loc[("a", "c"), "n_tokens"] == 4  # union vocab
 
 
-def test_daily_anomalies_flags_spike_only(ray_session, tmp_path):
+def test_daily_anomalies_flags_spike_only(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import daily_anomalies
 
     D = 86_400_000_000
@@ -1022,7 +1027,7 @@ def test_daily_anomalies_flags_spike_only(ray_session, tmp_path):
     assert df.loc[0, "n_events"] == 50
 
 
-def test_type_affinity_known_lift(ray_session, tmp_path):
+def test_type_affinity_known_lift(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import type_affinity
 
     # 4 users: u1 {a,b}, u2 {a,b}, u3 {a}, u4 {b}
@@ -1040,7 +1045,7 @@ def test_type_affinity_known_lift(ray_session, tmp_path):
     assert df.loc[0, "lift"] == np.floor(8.0 / 9.0 * 1e6 + 0.5) / 1e6
 
 
-def test_time_to_convert_position_semantics(ray_session, tmp_path):
+def test_time_to_convert_position_semantics(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import time_to_convert
 
     S = 1_000_000
@@ -1106,7 +1111,7 @@ def test_dup_rate_by_source_cross_source_dups(ray_session, tmp_path):
     assert df.loc["b", "n_dup_docs"] == 1 and df.loc["b", "n_docs"] == 3
 
 
-def test_session3_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_session3_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     """0-row and 1-row corpora flow through every round-5 session-3 operator
     without crashing (empty folds return None; segment kernels must handle
     zero segments)."""

@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from audio_feature_extraction_ray.functions.url import parse_urls
+from audio_feature_extraction_ray.pipelines.events import read_events
 
 
 def _docs_fixture(tmp_path, texts, langs=None, sources=None, name="sfd4"):
@@ -48,6 +49,7 @@ def _events_fixture(tmp_path, rows, name="sfe4"):
     sf = tmp_path / name
     sf.mkdir(exist_ok=True)
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     return str(sf)
 
 
@@ -102,7 +104,7 @@ def test_parse_urls_on_pages_fixture_urls():
     assert not any(out.column("has_query").to_pylist())
 
 
-def test_user_mode_type_tie_breaks_lexicographically(ray_session, tmp_path):
+def test_user_mode_type_tie_breaks_lexicographically(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import user_mode_type
 
     # user 1: tie 2-2 between 'view' and 'click' -> 'click' wins (asc);
@@ -128,7 +130,7 @@ def test_user_mode_type_tie_breaks_lexicographically(ray_session, tmp_path):
     assert df["share"].tolist() == [0.5, 0.75]
 
 
-def test_user_mode_type_matches_counter_reference(ray_session, tmp_path):
+def test_user_mode_type_matches_counter_reference(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import user_mode_type
 
     rng = np.random.default_rng(11)
@@ -148,7 +150,7 @@ def test_user_mode_type_matches_counter_reference(ray_session, tmp_path):
         assert got[uid] == (best[0], best[1]), uid
 
 
-def test_dow_profile_dow_arithmetic(ray_session, tmp_path):
+def test_dow_profile_dow_arithmetic(ray_session, tmp_path, split_reads):
     """((days + 4) % 7) vs known calendar dates: 1970-01-01 Thu=4,
     2024-01-07 Sun=0, 2024-01-08 Mon=1."""
     from audio_feature_extraction_ray.pipelines.events import dow_profile
@@ -207,7 +209,7 @@ def test_simpson_by_source_known_values(ray_session, tmp_path):
     assert np.isnan(df["simpson"][1])
 
 
-def test_session4_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_session4_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import (
         dow_profile,
         user_mode_type,
@@ -264,7 +266,7 @@ def test_session4_ops_empty_and_single_row_inputs(ray_session, tmp_path):
             assert len(df) <= n, (fn.__name__, len(df))
 
 
-def test_rolling_corr_matches_naive_window(ray_session, tmp_path):
+def test_rolling_corr_matches_naive_window(ray_session, tmp_path, split_reads):
     """Naive per-row trailing-8 Pearson (numpy corrcoef) over interleaved
     users and duplicate timestamps equals the segment-prefix kernel."""
     from audio_feature_extraction_ray.pipelines.events import (
@@ -363,7 +365,7 @@ def test_orders_gap_stats_known_values(ray_session, tmp_path):
     assert df["max_gap_days"].tolist() == [7, 0]
 
 
-def test_wave2_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_wave2_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import rolling_corr
     from audio_feature_extraction_ray.pipelines.relational import orders_gap_stats
     from audio_feature_extraction_ray.pipelines.text_analysis import docs_hapax_ratio
@@ -476,7 +478,7 @@ def test_ttr_known_values(ray_session, tmp_path):
     assert df["ttr"][3] == np.floor(1 / 3 * 1e6 + 0.5) / 1e6
 
 
-def test_transition_entropy_point_mass_and_uniform(ray_session, tmp_path):
+def test_transition_entropy_point_mass_and_uniform(ray_session, tmp_path, split_reads):
     """prev with ONE next type -> H = 0; prev with two equally likely
     next types -> H = ln 2 (all transitions inside one session)."""
     from audio_feature_extraction_ray.pipelines.events import transition_entropy
@@ -560,7 +562,7 @@ def test_civil_from_days_matches_datetime_sweep():
         ), int(days[i])
 
 
-def test_asof_nearest_tie_and_direction_rules(ray_session, tmp_path):
+def test_asof_nearest_tie_and_direction_rules(ray_session, tmp_path, split_reads):
     """Backward wins exact-distance ties; a purchase matches itself at
     dt 0; duplicate same-(user, ts) purchases pin the sig_id tie rules."""
     from audio_feature_extraction_ray.pipelines.events import asof_join_nearest
@@ -629,7 +631,7 @@ def test_orders_monthly_volume_known_months(ray_session, tmp_path):
     assert df["n_customers"].tolist() == [1, 1, 1]
 
 
-def test_streak_features_known_runs(ray_session, tmp_path):
+def test_streak_features_known_runs(ray_session, tmp_path, split_reads):
     from audio_feature_extraction_ray.pipelines.events import streak_features
 
     day = 86_400_000_000
@@ -651,7 +653,7 @@ def test_streak_features_known_runs(ray_session, tmp_path):
     assert df["max_streak_days"].tolist() == [3, 1]
 
 
-def test_top_user_share_tie_at_boundary(ray_session, tmp_path):
+def test_top_user_share_tie_at_boundary(ray_session, tmp_path, split_reads):
     """11 users -> k = 2; counts 5,3,3,1x8: top-2 mass = 8 regardless of
     which tied 3-count user ranks second."""
     from audio_feature_extraction_ray.pipelines.events import top_user_share

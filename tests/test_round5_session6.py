@@ -7,6 +7,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from audio_feature_extraction_ray.pipelines.events import read_events
+
 
 def _docs_fixture(tmp_path, texts, name="sfd6"):
     n = len(texts)
@@ -140,10 +142,11 @@ def _events_fixture(tmp_path, ts_us, values, name="sfe6"):
     sf = tmp_path / name
     sf.mkdir(exist_ok=True)
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     return str(sf)
 
 
-def test_day_peer_rank_ties_and_singleton(ray_session, tmp_path):
+def test_day_peer_rank_ties_and_singleton(ray_session, tmp_path, split_reads):
     """RANK() tie semantics (equal values share the min rank, next rank
     skips), percentile span is exactly [0, 1e6], and a singleton day gets
     pct 0."""
@@ -264,7 +267,7 @@ def test_label_top_terms_planted(ray_session, tmp_path):
     ]
 
 
-def test_debounce_chained_window(ray_session, tmp_path):
+def test_debounce_chained_window(ray_session, tmp_path, split_reads):
     """The suppression window chains from KEPT events only: a dense run
     longer than the window keeps the first event and the first one PAST
     kept_ts + window — unlike gap sessionization, which would keep only
@@ -284,7 +287,7 @@ def test_debounce_chained_window(ray_session, tmp_path):
     assert df["kept"].tolist() == [True, False, False, True, True]
 
 
-def test_debounce_independent_per_type(ray_session, tmp_path):
+def test_debounce_independent_per_type(ray_session, tmp_path, split_reads):
     """Windows never chain across (user, type) chains."""
     from audio_feature_extraction_ray.pipelines.events import debounce
 
@@ -302,6 +305,7 @@ def test_debounce_independent_per_type(ray_session, tmp_path):
     sf = tmp_path / "sfdb2"
     sf.mkdir()
     pq.write_table(tbl, sf / "events.parquet", row_group_size=2)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     df = debounce(str(sf)).to_pandas().sort_values("event_id").reset_index(drop=True)
     # first event of each (user, type) chain is kept; the rest are inside
     # the window of their chain head
@@ -365,7 +369,7 @@ def test_hard_negatives_planted(ray_session, tmp_path):
     assert len(df) == 6 and df["anchor_id"].tolist() == list(range(6))
 
 
-def test_markov_stationary_two_state_closed_form(ray_session, tmp_path):
+def test_markov_stationary_two_state_closed_form(ray_session, tmp_path, split_reads):
     """Closed form: a 2-state chain with P(a->b)=2/3, P(b->a)=1 has
     stationary (q/(p+q), p/(p+q)) = (0.6, 0.4)."""
     from audio_feature_extraction_ray.pipelines.events import markov_stationary
@@ -388,6 +392,7 @@ def test_markov_stationary_two_state_closed_form(ray_session, tmp_path):
     sf = tmp_path / "sfms"
     sf.mkdir()
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     df = markov_stationary(str(sf)).sort_values("event_type").reset_index(drop=True)
     # counts: a->b 3, a->a 2 (p = 3/5); b->a 3 (q = 1)
     p, q = 3 / 5, 1.0
@@ -458,7 +463,7 @@ def test_winnow_matches_naive_and_shares_substring_fp(ray_session, tmp_path):
     assert (df["n_fps"] <= np.maximum(df["n_grams"], 1)).all()
 
 
-def test_funnel_paths_prefix_and_gap(ray_session, tmp_path):
+def test_funnel_paths_prefix_and_gap(ray_session, tmp_path, split_reads):
     """Paths take the first 3 events of each session in time order; a gap
     beyond SESSION_GAP_S starts a new session/path."""
     from audio_feature_extraction_ray.pipelines.events import (
@@ -485,6 +490,7 @@ def test_funnel_paths_prefix_and_gap(ray_session, tmp_path):
     sf = tmp_path / "sffp"
     sf.mkdir()
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     df = funnel_paths_topk(str(sf))
     assert df["path"].tolist() == ["a>b>c"] and df["n"].tolist() == [2]
 
@@ -512,7 +518,7 @@ def test_template_groups_planted(ray_session, tmp_path):
     assert df["skeleton_md5"][0] != df["skeleton_md5"][2]
 
 
-def test_session6_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_session6_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     """0-row and 1-row flow guard for every session-6 operator: no crashes,
     sane cardinality."""
     import ray as _ray

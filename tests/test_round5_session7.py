@@ -9,6 +9,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from audio_feature_extraction_ray.pipelines.events import read_events
+
 
 def _docs_fixture(tmp_path, texts, sources=None, langs=None, name="sfd7"):
     n = len(texts)
@@ -99,7 +101,7 @@ def test_token_dispersion_planted_and_fixed_point(ray_session, tmp_path):
     assert "rare" not in df.index
 
 
-def test_session7_ops_empty_and_single_row_inputs(ray_session, tmp_path):
+def test_session7_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
     """0-row and 1-row flow guard for every session-7 operator."""
     from audio_feature_extraction_ray.pipelines.text_analysis import (
         chi2_keywords,
@@ -168,10 +170,11 @@ def _events_fixture7(tmp_path, ts_us, types, name="sfe7"):
     sf = tmp_path / name
     sf.mkdir(exist_ok=True)
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     return str(sf)
 
 
-def test_k_anonymity_planted(ray_session, tmp_path):
+def test_k_anonymity_planted(ray_session, tmp_path, split_reads):
     """A QI combo with K-1 rows is a violation; one with exactly K is not;
     the boundary is strict (< K). 1970-01-01 is a Thursday (dow 4)."""
     from audio_feature_extraction_ray.pipelines.events import K_ANON, k_anonymity

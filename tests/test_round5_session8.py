@@ -7,6 +7,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
+from audio_feature_extraction_ray.pipelines.events import read_events
+
 
 def _docs_fixture(tmp_path, texts, sources=None, langs=None, name="sfd8"):
     n = len(texts)
@@ -226,10 +228,11 @@ def _events_fixture(tmp_path, ts_us, user_ids, values, types=None, name="sfe8"):
     sf = tmp_path / name
     sf.mkdir(exist_ok=True)
     pq.write_table(tbl, sf / "events.parquet", row_group_size=3)
+    assert read_events(str(sf)).materialize().num_blocks() > 1
     return str(sf)
 
 
-def test_zorder_tiles_bit_interleave(ray_session, tmp_path):
+def test_zorder_tiles_bit_interleave(ray_session, tmp_path, split_reads):
     """Morton key: user bits land on odd positions, value bits on even;
     hand-checked tiles with exact ts spans."""
     from audio_feature_extraction_ray.pipelines.events import zorder_tiles
@@ -251,7 +254,7 @@ def test_zorder_tiles_bit_interleave(ray_session, tmp_path):
     assert int(df.loc[1, "n"]) == 1 and int(df.loc[14, "n"]) == 1
 
 
-def test_zorder_value_clamp(ray_session, tmp_path):
+def test_zorder_value_clamp(ray_session, tmp_path, split_reads):
     """Values beyond the top bucket clamp to 2^bits - 1 (no key overflow)."""
     from audio_feature_extraction_ray.pipelines.events import zorder_tiles
 
@@ -406,7 +409,7 @@ def test_softdedup_weights_planted_clusters(ray_session, tmp_path):
     assert list(df["weight_1e6"]) == [333333, 333333, 333333, 500000, 500000, 1000000]
 
 
-def test_impact_study_hand_windows(ray_session, tmp_path):
+def test_impact_study_hand_windows(ray_session, tmp_path, split_reads):
     """Hand-built stream: boundary inclusivity ([t-W, t) strictly-before,
     (t, t+W] strictly-after), same-ts events excluded from both windows."""
     from audio_feature_extraction_ray.pipelines.events import IMPACT_W_US, impact_study
@@ -425,7 +428,7 @@ def test_impact_study_hand_windows(ray_session, tmp_path):
     assert int(r["n_post"]) == 2 and int(r["sum_post_cents"]) == 1100
 
 
-def test_impact_study_two_markers_same_user(ray_session, tmp_path):
+def test_impact_study_two_markers_same_user(ray_session, tmp_path, split_reads):
     """Overlapping windows of two markers count independently; a marker
     falls inside the other's window like any other event."""
     from audio_feature_extraction_ray.pipelines.events import IMPACT_W_US, impact_study
@@ -629,7 +632,7 @@ def test_image_dups_planted_cross_format_pair(ray_session):
     assert norm_got == want
 
 
-def test_partition_skew_hand_buckets(ray_session, tmp_path):
+def test_partition_skew_hand_buckets(ray_session, tmp_path, split_reads):
     """Hand-built skew: all events on one user -> user_mod ratio == n_buckets
     x 1e6 over 1 bucket (perfectly skewed = 1e6 with a single bucket), vs a
     spread key staying near 1e6."""
@@ -650,7 +653,7 @@ def test_partition_skew_hand_buckets(ray_session, tmp_path):
     assert int(df.loc["type_ascii", "total"]) == n
 
 
-def test_partition_skew_detects_hot_bucket(ray_session, tmp_path):
+def test_partition_skew_detects_hot_bucket(ray_session, tmp_path, split_reads):
     """A hot user among spread users drives the user_mod ratio above 1e6 by
     exactly max*nb*1e6//total."""
     from audio_feature_extraction_ray.pipelines.events import partition_skew
@@ -679,7 +682,7 @@ def test_order_fanout_hist_planted(ray_session, tmp_path):
     assert int(df.loc[1, "n_orders"]) == 1
 
 
-def test_session_concurrency_hand_intervals(ray_session, tmp_path):
+def test_session_concurrency_hand_intervals(ray_session, tmp_path, split_reads):
     """Three users with overlapping sessions: peak and its earliest instant
     computed by hand; a touching boundary (start == another session's end)
     counts as overlap (the <= tie rule)."""
@@ -701,7 +704,7 @@ def test_session_concurrency_hand_intervals(ray_session, tmp_path):
     assert df.iloc[0]["at_ts"].value == 10 * m * 1000  # ns
 
 
-def test_bot_flags_regular_vs_human(ray_session, tmp_path):
+def test_bot_flags_regular_vs_human(ray_session, tmp_path, split_reads):
     """Metronome user (constant 60 s gaps) flags as bot with cv2 == 0; a
     jittery user stays human; the integer CV^2 matches the hand formula on
     second-quantized gaps."""
@@ -728,7 +731,7 @@ def test_bot_flags_regular_vs_human(ray_session, tmp_path):
     assert int(df.loc[2, "n_gaps"]) == g
 
 
-def test_bot_flags_min_support(ray_session, tmp_path):
+def test_bot_flags_min_support(ray_session, tmp_path, split_reads):
     """Users with fewer than BOT_MIN_GAPS gaps are not judged at all."""
     from audio_feature_extraction_ray.pipelines.events import BOT_MIN_GAPS, bot_flags
 
