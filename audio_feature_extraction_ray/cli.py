@@ -58,31 +58,32 @@ def cmd_verify(args) -> int:
     design.md:1581-1674)."""
     import glob
 
-    import numpy as np
+    import pyarrow as pa
     import pyarrow.parquet as pq
 
     from .config import FeatureConfig
     from .state.checkpoint import load_completed, partition_checksum
 
+    def fail(error: str) -> int:
+        print(json.dumps({"ok": False, "error": error}))
+        return 1
+
     done = load_completed(args.output)
     if not done:
-        print(json.dumps({"ok": False, "error": "no manifests found"}))
-        return 1
+        return fail("no manifests found")
     width = len(FeatureConfig(signals_path="x").feature_order)
     checked = 0
     for pid, m in sorted(done.items()):
         files = sorted(glob.glob(f"{args.output}/part={pid:05d}/*.parquet"))
         if not files:
-            print(json.dumps({"ok": False, "error": f"partition {pid} missing data"}))
-            return 1
-        tbl = pq.read_table(files[0])
-        assert tbl.num_rows == m["rows_out"], f"rows mismatch in {pid}"
-        ck = f"{partition_checksum(tbl):016x}"
-        if ck != m["checksum"]:
-            print(json.dumps({"ok": False, "error": f"checksum mismatch in {pid}"}))
-            return 1
-        f = tbl.schema.field("features").type
-        assert f.list_size in (width, width - 2), "feature width invariant violated"
+            return fail(f"partition {pid} missing data")
+        tbl = pa.concat_tables([pq.read_table(f) for f in files])
+        if tbl.num_rows != m["rows_out"]:
+            return fail(f"rows mismatch in {pid}")
+        if f"{partition_checksum(tbl):016x}" != m["checksum"]:
+            return fail(f"checksum mismatch in {pid}")
+        if tbl.schema.field("features").type.list_size not in (width, width - 2):
+            return fail(f"feature width invariant violated in {pid}")
         checked += 1
     print(json.dumps({"ok": True, "partitions_checked": checked}))
     return 0

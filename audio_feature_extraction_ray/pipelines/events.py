@@ -6,19 +6,22 @@ sessionization, rolling windows — SURVEY §2.3/2.5/2.9), expressed over the
 driver's testdata so every operator has a DuckDB SQL oracle.
 
 Execution idiom (identical to pipelines/features.py): read_events ->
-entity-hash partition -> groupby(partition_id).map_groups(vectorized kernel
-over the sorted partition). Entity = user_id; a user never spans
-partitions. The sort emits one reduce block per read block, so read_events
-sizes its read with the same rule as the pages read
-(stages.exchange.read_num_blocks): events is one file, so a table under
-2 x CPUs x target_min_block_size of footer bytes reads as
-ceil(bytes / target_min_block_size) blocks (one block for the sf0.01
-table), and a larger one keeps Ray's own split. Money values are
-aggregated as integer cents so distributed results are bit-identical to the
-SQL oracle (no float-summation-order drift).
+entity-hash partition -> the one keyed exchange (stages.exchange.exchange)
+-> vectorized kernel over each reduce block, sorted by (entity, time).
+Entity = user_id; a user never spans blocks, and a block holds many users,
+so the kernel runs once per block. The exchange makes one reduce block per
+read block (capped at NUM_PARTITIONS), so read_events sizes its read with
+the same rule as the pages read (stages.exchange.read_num_blocks): events
+is one file, so a table under 2 x CPUs x target_min_block_size of footer
+bytes reads as ceil(bytes / target_min_block_size) blocks. A one-block
+read (the sf0.01 table) goes through repartition(1) and one kernel call;
+a few blocks (sf0.1 reads as 3) go through a sort on fixed partition-id
+boundaries; a larger table keeps Ray's own split and its sampled sort.
+Money values are aggregated as integer cents so distributed results are
+bit-identical to the SQL oracle (no float-summation-order drift).
 
 Round 2: Arrow end-to-end (batch_format="pyarrow", one np.lexsort + Arrow
-take per partition — no Arrow->pandas copies) and every kernel is pure numpy
+take per block — no Arrow->pandas copies) and every kernel is pure numpy
 index algebra over the sorted arrays: segment heads + cumsum/propagate for
 sessions, maximum.accumulate carried-index for LOCF/as-of — NO Python loop
 per user segment (round-1 verdict #5/#6)."""
@@ -34,7 +37,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..errors import SchemaError
-from ..stages.exchange import read_num_blocks
+from ..stages.exchange import exchange, read_num_blocks
 from ..state.kernels import _propagate_last
 
 NUM_PARTITIONS = 32
@@ -62,26 +65,19 @@ def partitioned_ordered(
     order: tuple[str, ...] = ("ts", "event_id"),
     num_partitions: int = NUM_PARTITIONS,
 ) -> ray.data.Dataset:
-    """Entity-hash partition + per-partition (key, *order) sort + Arrow
-    kernel. The kernel sees every row of each entity exactly once, in time
-    order — the same ordering contract as the pages merge kernel."""
+    """Entity-hash partition + one keyed exchange + Arrow kernel per reduce
+    block, sorted by (key, *order). The kernel sees every row of each entity
+    exactly once, in time order, and entities in key order — the same
+    ordering contract as the pages merge kernel."""
 
     def group_fn(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["partition_id"])
-        sort_keys = []
-        for c in reversed(order):
-            col = tbl.column(c)
-            if pa.types.is_timestamp(col.type):
-                col = col.cast(pa.int64())
-            sort_keys.append(col.to_numpy(zero_copy_only=False))
-        idx = np.lexsort((*sort_keys, tbl.column(key).to_numpy(zero_copy_only=False)))
-        return kernel(tbl.take(pa.array(idx)))
+        return kernel(tbl.drop_columns(["partition_id"]))
 
     ds = ds.map_batches(
         functools.partial(_assign_pid, key=key, num_partitions=num_partitions),
         batch_format="pyarrow",
     )
-    return ds.groupby("partition_id").map_groups(group_fn, batch_format="pyarrow")
+    return exchange(ds, "partition_id", group_fn, num_partitions, order=(key, *order))
 
 
 def _seg_head(uid: np.ndarray) -> np.ndarray:

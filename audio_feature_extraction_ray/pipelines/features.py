@@ -8,25 +8,29 @@ Idiomatic Ray Data (SURVEY §3.4):
                                                        #   DROP html pre-shuffle
       -> map_batches(assign_partition, pyarrow)        # §4: url-hash or sampled
                                                        #   range bounds (+salting)
-      -> groupby(partition_id).map_groups(kernel)      # the ONE wide shuffle;
+      -> exchange(partition_id, kernel)                # the ONE wide shuffle;
                                                        #   kernel = sort, dedup,
                                                        #   streaming merge, LOCF
       -> feature Dataset | per-partition parquet+manifest
 
 The as-of right side (signals) is broadcast: ray.put once on the driver,
-ray.get inside the grouped kernel (per-task deserialize of a node-local
-object — never re-shipped per batch). Resume: completed partitions (valid
+ray.get once per reduce block inside the kernel (a node-local object —
+never re-shipped per batch). Resume: completed partitions (valid
 manifest) are filtered out BEFORE the shuffle.
 
 run() executes as two barrier phases, each with the whole cluster:
 
-  1. read + prepare + partition tag, feeding the sort's map side;
-  2. the sort's reduce side + grouped kernel (merge, parquet, manifest).
+  1. read + prepare + partition tag, feeding the exchange's map side;
+  2. the exchange's reduce side + block kernel (merge, parquet, manifest).
 
-The sort is a full barrier, so no kernel task can start before phase 1
-ends, and it emits one reduce block per read block, so the read's block
-count is the task count on both sides. `stages.exchange.read_num_blocks`
-picks it in three branches:
+The exchange (`stages.exchange.exchange`) is a full barrier, so no kernel
+task can start before phase 1 ends. It routes partition ids through fixed
+boundaries into one reduce block per read block, capped at the partition
+count (a one-block read becomes one `repartition(1)` block), and calls the
+kernel once per block; the kernel merges each partition id of its block on
+its own, so a partition is still the checkpoint unit. The read's block
+count is therefore the task count on both sides.
+`stages.exchange.read_num_blocks` picks it in three branches:
 
   * at least as many input files as cluster CPUs: one block per file, so
     Ray adds no SplitBlocks(k) whose read generators would hold CPU slots
@@ -35,11 +39,13 @@ picks it in three branches:
     when that is below 2 x CPUs, so a small input is not cut into 2 x CPUs
     blocks whose per-task overhead exceeds their work;
   * otherwise Ray picks the count and splits the files, so a large one-file
-    input still gets a prepare task per CPU.
+    input still gets a prepare task per CPU; the plan then cannot predict
+    the block count, and the exchange samples its boundaries as Ray's sort
+    does.
 
 run() also turns off Ray Data's per-operator reservation
 (op_resource_reservation_enabled) on its own Dataset: it keeps half the
-CPUs split evenly across read, prepare, sort and kernel, which across a
+CPUs split evenly across read, prepare, exchange and kernel, which across a
 barrier only idles cores. The switch is set on that Dataset's copy of the
 DataContext, never the caller's. feature_dataset() keeps the reservation:
 its lazy Dataset goes to callers who may chain more operators onto it,
@@ -66,7 +72,7 @@ from ..functions.hashing import string_hash_strong
 from ..state.checkpoint import job_report, load_completed, write_partition, write_partition_stream
 from ..state.kernels import SignalsLookup, merge_partition, merge_partition_chunks
 from ..state.partition import HashPartitioner, HostSaltPartitioner, RangePartitioner
-from ..stages.exchange import read_num_blocks
+from ..stages.exchange import exchange, read_num_blocks
 from ..stages.text_stage import assign_partition_batch, prepare_batch
 
 INPUT_COLUMNS = ["url", "warc_ts", "html", "lang"]  # prune `text` at the read
@@ -178,16 +184,33 @@ def _build_partitioner(cfg: PipelineConfig):
     return RangePartitioner.from_sample(urls, e.num_partitions, hot_salt=e.hot_salt)
 
 
-def _make_group_fn(fcfg: FeatureConfig, signals_ref, output_dir: str | None, lineage: dict | None = None):
-    """Grouped kernel; one call per partition_id group (whole partition as one
-    Arrow table). Pure + deterministic -> safe under Ray task retries."""
+def _partition_runs(tbl: pa.Table):
+    """Zero-copy slices of a partition_id-sorted block, one per partition id."""
+    pid = tbl.column("partition_id").to_numpy()
+    cuts = [0, *(np.flatnonzero(pid[1:] != pid[:-1]) + 1).tolist(), tbl.num_rows]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        yield tbl.slice(a, b - a)
 
-    def group_fn(tbl: pa.Table) -> pa.Table:
+
+def _concat(tables) -> pa.Table:
+    return pa.concat_tables(list(tables), promote_options="default")
+
+
+def _make_group_fn(fcfg: FeatureConfig, signals_ref, output_dir: str | None, lineage: dict | None = None):
+    """Block kernel; one call per reduce block of the exchange, which holds
+    whole partitions sorted by partition_id. Each partition is merged (and
+    written, with its manifest) on its own: a partition id stays the
+    checkpoint unit. Pure + deterministic -> safe under Ray task retries."""
+
+    def group_fn(block: pa.Table) -> pa.Table:
+        signals = ray.get(signals_ref) if signals_ref is not None else None
+        return _concat(merge_one(tbl, signals) for tbl in _partition_runs(block))
+
+    def merge_one(tbl: pa.Table, signals) -> pa.Table:
         t0 = time.time()
-        pid = int(tbl.column("partition_id")[0].as_py()) if tbl.num_rows else -1
+        pid = int(tbl.column("partition_id")[0].as_py())
         rows_in = tbl.num_rows
         tbl = tbl.drop_columns(["partition_id"])
-        signals = ray.get(signals_ref) if signals_ref is not None else None
         if output_dir is not None and not fcfg.emit_labels:
             # bounded-memory path: stream chunks straight into the parquet
             # writer — the partition's output is never resident at once.
@@ -222,8 +245,9 @@ def _load_signals(fcfg: FeatureConfig):
     return ray.put(SignalsLookup(pq.read_table(fcfg.signals_path)))
 
 
-def build_dataset(cfg: PipelineConfig) -> ray.data.Dataset:
-    """Lazy Dataset of prepared + partition-tagged rows (pre-shuffle)."""
+def build_dataset(cfg: PipelineConfig) -> tuple[ray.data.Dataset, HashPartitioner | RangePartitioner]:
+    """Lazy Dataset of prepared + partition-tagged rows (pre-shuffle), and
+    the partitioner that tagged them."""
     cfg.validate()
     ds = _read_input(cfg)
     prep = functools.partial(prepare_batch, cfg=cfg.features)
@@ -234,19 +258,28 @@ def build_dataset(cfg: PipelineConfig) -> ray.data.Dataset:
         batch_format="pyarrow",
         batch_size=cfg.engine.batch_size,
     )
-    return ds
+    return ds, partitioner
+
+
+def _tagged_input(cfg: PipelineConfig, copart: bool) -> tuple[ray.data.Dataset, int]:
+    """The partition-tagged rows the exchange routes, and how many partition
+    ids they can carry."""
+    if copart:
+        ds, partitioner = build_copartitioned(cfg)
+        return ds, partitioner.total_partitions
+    ds, partitioner = build_dataset(cfg)
+    return ds, partitioner.num_partitions
 
 
 def feature_dataset(cfg: PipelineConfig) -> ray.data.Dataset:
     """Full pipeline returning the feature table as a (lazy) Dataset."""
-    if _use_copartition(cfg):
-        ds, _ = build_copartitioned(cfg)
+    copart = _use_copartition(cfg)
+    ds, parts = _tagged_input(cfg, copart)
+    if copart:
         fn = _make_copart_group_fn(cfg.features, output_dir=None)
-        return ds.groupby("partition_id").map_groups(fn, batch_format="pyarrow")
-    ds = build_dataset(cfg)
-    signals_ref = _load_signals(cfg.features)
-    fn = _make_group_fn(cfg.features, signals_ref, output_dir=None)
-    return ds.groupby("partition_id").map_groups(fn, batch_format="pyarrow")
+    else:
+        fn = _make_group_fn(cfg.features, _load_signals(cfg.features), output_dir=None)
+    return exchange(ds, "partition_id", fn, parts, order=("partition_id",))
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +386,15 @@ def _sample_hosts(cfg: PipelineConfig) -> list[str]:
 
 
 def _make_copart_group_fn(fcfg: FeatureConfig, output_dir: str | None, lineage: dict | None = None):
-    def group_fn(tbl: pa.Table) -> pa.Table:
+    """Block kernel of the co-partitioned path: as _make_group_fn, with each
+    partition's SignalsLookup built from its own signal rows."""
+
+    def group_fn(block: pa.Table) -> pa.Table:
+        return _concat(merge_one(tbl) for tbl in _partition_runs(block))
+
+    def merge_one(tbl: pa.Table) -> pa.Table:
         t0 = time.time()
-        pid = int(tbl.column("partition_id")[0].as_py()) if tbl.num_rows else -1
+        pid = int(tbl.column("partition_id")[0].as_py())
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
         right = tbl.filter(pa.array(side == 1))
         signals = SignalsLookup(
@@ -586,10 +625,7 @@ def run(cfg: PipelineConfig) -> dict:
     if not cfg.engine.output_dir:
         raise ValueError("run() requires engine.output_dir")
     copart = _use_copartition(cfg)
-    if copart:
-        ds, _ = build_copartitioned(cfg)
-    else:
-        ds = build_dataset(cfg)
+    ds, parts = _tagged_input(cfg, copart)
     # fingerprint the RESOLVED partition layout, not just the config flag:
     # broadcast_signals_max_rows / the signals row count flip the layout
     # between url-keyed and host-salt, and partitions from one layout must
@@ -616,7 +652,7 @@ def run(cfg: PipelineConfig) -> dict:
         fn = _make_group_fn(
             cfg.features, signals_ref, output_dir=cfg.engine.output_dir, lineage=lineage
         )
-    ds = ds.groupby("partition_id").map_groups(fn, batch_format="pyarrow")
+    ds = exchange(ds, "partition_id", fn, parts, order=("partition_id",))
     # across the sort barrier the per-operator reservation only idles cores
     # (module docstring); ds.context is this Dataset's own DataContext copy
     ds.context.op_resource_reservation_enabled = False

@@ -3,7 +3,8 @@ right side).
 
 When the right side is too big to broadcast (engine.broadcast_signals_max_rows),
 both sides are hash-partitioned ON THE SAME KEY into the same partition ids,
-unioned with a side tag, and merged per partition with ONE vectorized pass
+unioned with a side tag, routed by `stages.exchange.exchange`, and merged per
+reduce block (many keys at once) with ONE vectorized pass
 ("<=" tie semantics: an equal-timestamp right row IS visible to the left row).
 
 Round 2: the merge kernel is Arrow end-to-end and fully vectorized — keys are
@@ -28,6 +29,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import avalanche64, string_hash_strong
+from .exchange import exchange
 
 
 def _key_partition_ids(col, num_partitions: int) -> np.ndarray:
@@ -84,11 +86,10 @@ def asof_join_copartitioned(
 ) -> ray.data.Dataset:
     """Returns key + left_ts + left_cols + prefixed right value columns
     (float64, NaN when no right row with right.ts <= left.ts exists for the
-    key). The key keeps its NATIVE type (string or integral) in the output —
-    including on the empty-partition path. Pass col_types (column ->
-    pa.DataType for left_cols + right_value_cols) and key_type when known —
-    the .schema() fallback partially EXECUTES both upstream pipelines just
-    to sample their schemas."""
+    key). The key keeps its NATIVE type (string or integral) in the output.
+    Pass col_types (column -> pa.DataType for left_cols + right_value_cols)
+    and key_type when known — the .schema() fallback partially EXECUTES both
+    upstream pipelines just to sample their schemas."""
 
     all_left = left_cols
     all_cols = all_left + right_value_cols
@@ -113,16 +114,9 @@ def asof_join_copartitioned(
     rt = right.map_batches(tag_r, batch_format="pyarrow")
     unioned = lt.union(rt)
 
-    out_schema = pa.schema(
-        [(key, key_type), (left_ts, pa.timestamp("us"))]
-        + [(c, col_types[c]) for c in all_left]
-        + [(prefix + c, pa.float64()) for c in right_value_cols]
-    )
-
     def merge(tbl: pa.Table) -> pa.Table:
+        tbl = tbl.drop_columns(["__pid"])
         n = tbl.num_rows
-        if n == 0:
-            return out_schema.empty_table()
         key_col = tbl.column("__key")
         if isinstance(key_col, pa.ChunkedArray):
             key_col = key_col.combine_chunks()
@@ -157,6 +151,4 @@ def asof_join_copartitioned(
             cols[prefix + c] = pa.array(out, pa.float64())
         return pa.table(cols)
 
-    return unioned.groupby("__pid").map_groups(
-        lambda g: merge(g.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
+    return exchange(unioned, "__pid", merge, num_partitions)

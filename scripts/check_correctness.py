@@ -1,6 +1,14 @@
 """Simulate the driver's correctness gate: run each queries() entry and its
 oracle_sql() in DuckDB over the same parquet dir; compare row count, schema,
-and a value hash over columns sorted by name."""
+and a value hash over columns sorted by name.
+
+    python scripts/check_correctness.py SF_DIR ['events_*' ...] [--against GATE.json]
+
+Entries are selected by name or glob (all when none is given). --against
+compares each selected entry's status and row count with a saved gate (the
+JSON this script prints) and exits 1 on any difference."""
+import argparse
+import fnmatch
 import hashlib
 import json
 import sys
@@ -9,8 +17,12 @@ import duckdb
 import pandas as pd
 import pyarrow as pa
 
-SF_DIR = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
-ONLY = sys.argv[2:] or None
+ap = argparse.ArgumentParser()
+ap.add_argument("sf_dir")
+ap.add_argument("names", nargs="*", help="entry names or globs, e.g. 'events_*'")
+ap.add_argument("--against", help="saved gate JSON to compare status and rows with")
+args = ap.parse_args()
+SF_DIR = args.sf_dir
 
 import ray
 
@@ -57,7 +69,7 @@ qs = ent.queries()
 oracles = ent.oracle_sql()
 results = {}
 for name, fn in qs.items():
-    if ONLY and name not in ONLY:
+    if args.names and not any(fnmatch.fnmatchcase(name, p) for p in args.names):
         continue
     try:
         ray_df = to_pandas(fn(SF_DIR))
@@ -88,3 +100,12 @@ print(json.dumps(results, indent=1))
 bad = [k for k, v in results.items() if v["status"] not in ("MATCH", "rows_only")]
 print("BAD:", bad)
 ray.shutdown()
+if args.against:
+    gate = json.load(open(args.against))
+    differ = [
+        k
+        for k, v in results.items()
+        if k not in gate or (v["status"], v.get("rows")) != (gate[k]["status"], gate[k].get("rows"))
+    ]
+    print(f"AGAINST {args.against}: {len(results) - len(differ)} same, differ: {differ}")
+    sys.exit(1 if differ else 0)

@@ -37,6 +37,64 @@ def test_cli_run_and_verify(ray_session, tmp_path, capsys):
     assert v == {"ok": True, "partitions_checked": 4}
 
 
+def _verify_subprocess(out, optimize: bool) -> tuple[int, dict]:
+    """`verify` in a fresh interpreter, with or without -O (which strips
+    assert statements)."""
+    import os
+    import subprocess
+    import sys
+
+    root = str(Path(__file__).resolve().parents[1])
+    cmd = [sys.executable, *(["-O"] if optimize else []), "-m", "audio_feature_extraction_ray",
+           "verify", "--output", str(out)]
+    env = {**os.environ, "PYTHONPATH": root}
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_cli_verify_reads_every_file_and_fails_without_asserts(ray_session, tmp_path, capsys):
+    """verify reads every data file of a partition, and reports a changed
+    feature value or a lost row as {"ok": false} with exit 1, also under
+    python -O."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    fx = tmp_path / "fx"
+    main(["gen-fixture", "--out", str(fx), "--rows", "300", "--files", "1"])
+    paths = json.loads(capsys.readouterr().out.strip())
+    out = tmp_path / "out"
+    assert main(["run", "--input", paths["pages"], "--signals", paths["signals"],
+                 "--output", str(out), "--partitions", "2"]) == 0
+    part = out / "part=00000"
+    tbl = pq.read_table(part / "data.parquet")
+    assert tbl.num_rows >= 4
+
+    # one partition stored as two files: still whole and valid
+    half = tbl.num_rows // 2
+    pq.write_table(tbl.slice(0, half), part / "data.parquet")
+    pq.write_table(tbl.slice(half), part / "data-1.parquet")
+    for optimize in (False, True):
+        assert _verify_subprocess(out, optimize) == (0, {"ok": True, "partitions_checked": 2})
+
+    # one feature value changed in the second file
+    second = tbl.slice(half)
+    feats = second.column("features").combine_chunks()
+    vals = np.asarray(feats.flatten().to_numpy(zero_copy_only=False)).copy()
+    vals[0] += 1.0
+    changed = pa.FixedSizeListArray.from_arrays(pa.array(vals, pa.float64()), feats.type.list_size)
+    i = second.schema.get_field_index("features")
+    pq.write_table(second.set_column(i, second.schema.field(i), changed), part / "data-1.parquet")
+    for optimize in (False, True):
+        assert _verify_subprocess(out, optimize) == (
+            1, {"ok": False, "error": "checksum mismatch in 0"})
+
+    # one row lost
+    pq.write_table(tbl.slice(half + 1), part / "data-1.parquet")
+    for optimize in (False, True):
+        assert _verify_subprocess(out, optimize) == (1, {"ok": False, "error": "rows mismatch in 0"})
+
+
 def test_cli_run_resume_flag(ray_session, tmp_path, capsys):
     fx = tmp_path / "fx"
     main(["gen-fixture", "--out", str(fx), "--rows", "300", "--files", "1"])

@@ -1,7 +1,9 @@
-"""Read layout in front of the keyed exchange (stages/exchange.py): the
-three-branch block-count rule, the plan it gives read_events, and layout
-parity of the events as-of/window family against its DuckDB oracles."""
+"""The keyed exchange and the read layout in front of it
+(stages/exchange.py): the three-branch block-count rule, the plan it gives
+read_events, layout parity of the events as-of/window family against its
+DuckDB oracles, and exchange() against Ray's groupby().map_groups()."""
 
+import functools
 import hashlib
 
 import numpy as np
@@ -11,9 +13,9 @@ import pyarrow.parquet as pq
 import pytest
 from ray.data import DataContext
 
-from audio_feature_extraction_ray.pipelines.events import read_events
+from audio_feature_extraction_ray.pipelines.events import _assign_pid, read_events
 from audio_feature_extraction_ray.stages import exchange
-from audio_feature_extraction_ray.stages.exchange import read_num_blocks
+from audio_feature_extraction_ray.stages.exchange import predicted_num_blocks, read_num_blocks
 
 CPUS = 4  # the session CPU count the rule is tested against
 
@@ -162,3 +164,150 @@ def test_asof_family_is_layout_independent(ray_session, tmp_path, monkeypatch):
 
     assert default == want
     assert split == want
+
+
+# ---------------------------------------------------------------------------
+# exchange(): parity with groupby(key).map_groups(fn), and its plan
+
+PARTS = 8
+
+
+def _tagged(sf: str, pid_parts: int = PARTS):
+    """Events rows tagged with a partition_id in [0, pid_parts)."""
+    tag = functools.partial(_assign_pid, key="user_id", num_partitions=pid_parts)
+    return read_events(sf, ["event_id", "user_id", "value"]).map_batches(tag, batch_format="pyarrow")
+
+
+def _kernels():
+    """(rank_in_partition, sorted_rank_in_partition), defined here so Ray
+    ships them by value: workers cannot import this test module.
+
+    rank_in_partition gives per row its rank by event_id within its
+    partition id and the running value sum in cents: the same rows whether
+    the table holds one partition id or many. It fails on a 0-row table.
+    sorted_rank_in_partition first checks that its input arrived sorted by
+    (partition_id, event_id)."""
+
+    def rank_in_partition(tbl: pa.Table) -> pa.Table:
+        if tbl.num_rows == 0:
+            raise AssertionError("fn called with 0 rows")
+        pid = tbl.column("partition_id").to_numpy()
+        eid = tbl.column("event_id").to_numpy()
+        idx = np.lexsort((eid, pid))
+        pid, eid = pid[idx], eid[idx]
+        cents = np.round(tbl.column("value").to_numpy()[idx] * 100).astype(np.int64)
+        head = np.r_[True, pid[1:] != pid[:-1]]
+        start = np.maximum.accumulate(np.where(head, np.arange(pid.size), 0))
+        csum = np.cumsum(cents)
+        return pa.table(
+            {
+                "partition_id": pid,
+                "event_id": eid,
+                "rank": np.arange(pid.size) - start,
+                "run_cents": csum - csum[start] + cents[start],
+            }
+        )
+
+    def sorted_rank_in_partition(tbl: pa.Table) -> pa.Table:
+        key = tbl.column("partition_id").to_numpy().astype(np.int64) * 2**40 + tbl.column("event_id").to_numpy()
+        if (np.diff(key) < 0).any():
+            raise AssertionError("block not sorted by (partition_id, event_id)")
+        return rank_in_partition(tbl)
+
+    return rank_in_partition, sorted_rank_in_partition
+
+
+def _op_names(ds) -> list[str]:
+    names, node = [], ds._get_stats_summary()
+    while node is not None:
+        names = [op.operator_name for op in node.operators_stats] + names
+        node = node.parents[0] if node.parents else None
+    return names
+
+
+def _split_reads(monkeypatch, sf: str, blocks: int) -> None:
+    """Lower target_min_block_size (as the split_reads fixture does) so the
+    events table reads as `blocks` footer-sized blocks."""
+    nbytes = exchange._footer_bytes([f"{sf}/events.parquet"])
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", -(-nbytes // blocks))
+    assert read_num_blocks([f"{sf}/events.parquet"]) == blocks
+
+
+@pytest.mark.parametrize("case", ["one_block", "multi_block", "zero_rows", "one_partition_id"])
+def test_exchange_matches_map_groups(ray_session, tmp_path, monkeypatch, case):
+    """exchange() gives the rows of groupby(key).map_groups(fn), by canonical
+    hash, on every routing branch; fn never sees an empty block (it raises
+    on one) and gets each block sorted by `order`."""
+    sf = _events_table(tmp_path / "sf", rows=0 if case == "zero_rows" else 3000)
+    if case in ("multi_block", "one_partition_id"):
+        _split_reads(monkeypatch, sf, 4)
+    ds = _tagged(sf, pid_parts=1 if case == "one_partition_id" else PARTS)
+    assert predicted_num_blocks(ds) == (1 if case in ("one_block", "zero_rows") else 4)
+
+    rank, sorted_rank = _kernels()
+    want = ds.groupby("partition_id").map_groups(rank, batch_format="pyarrow")
+    got = exchange.exchange(ds, "partition_id", rank, PARTS)
+    ordered = exchange.exchange(ds, "partition_id", sorted_rank, PARTS, order=("partition_id", "event_id"))
+    want_hash = _canon_hash(want.to_pandas())
+    assert _canon_hash(got.to_pandas()) == want_hash
+    assert _canon_hash(ordered.to_pandas()) == want_hash
+    assert want_hash[2] == (0 if case == "zero_rows" else 3000)
+
+
+def _count_sampling(monkeypatch) -> list:
+    """Calls of Ray's sort boundary sampling (it runs in the driver)."""
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
+
+    calls = []
+    orig = SortTaskSpec.sample_boundaries
+
+    def sample_boundaries(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", staticmethod(sample_boundaries))
+    return calls
+
+
+def test_exchange_plan_one_block_is_a_repartition(ray_session, tmp_path):
+    ds = _tagged(_events_table(tmp_path / "sf"))
+    out = exchange.exchange(ds, "partition_id", _kernels()[0], PARTS).materialize()
+    names = _op_names(out)
+    assert any(n.startswith("Repartition") for n in names), names
+    assert not any(n.startswith("Sort") for n in names), names
+    assert names[-1] == "MapBatches(rank_in_partition)"
+
+
+def test_exchange_plan_multi_block_sorts_on_fixed_boundaries(ray_session, tmp_path, monkeypatch):
+    """A predicted R-block input: a Sort with R - 1 even partition-id
+    boundaries, R reduce blocks, and no boundary sampling."""
+    sampled = _count_sampling(monkeypatch)
+    sf = _events_table(tmp_path / "sf")
+    r = 3
+    _split_reads(monkeypatch, sf, r)
+    ds = _tagged(sf)
+    assert predicted_num_blocks(ds) == r
+    out = exchange.exchange(ds, "partition_id", _kernels()[0], PARTS)
+    sort_op = out._logical_plan.dag.input_dependencies[0]
+    assert sort_op.name == "Sort"
+    assert sort_op._sort_key.boundaries == [round(i * PARTS / r) for i in range(1, r)]
+    out = out.materialize()
+    names = _op_names(out)
+    assert "SortMap" in names and "SortReduce" in names, names
+    assert not any("Sample" in n for n in names), names
+    assert f"SortReduce: 1 tasks executed, {r} blocks produced" in out.stats()
+    assert sampled == []
+
+
+def test_exchange_unknown_prediction_samples_like_map_groups(ray_session, tmp_path, monkeypatch):
+    """A read Ray sizes itself has no prediction: the sort samples its
+    boundaries, as Ray's own map_groups does."""
+    sampled = _count_sampling(monkeypatch)
+    sf = _events_table(tmp_path / "sf")
+    nbytes = exchange._footer_bytes([f"{sf}/events.parquet"])
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", nbytes // (4 * CPUS))
+    ds = _tagged(sf)
+    assert predicted_num_blocks(ds) is None
+    out = exchange.exchange(ds, "partition_id", _kernels()[0], PARTS)
+    assert _canon_hash(out.to_pandas())[2] == 3000
+    assert sampled

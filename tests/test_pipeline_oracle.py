@@ -451,6 +451,15 @@ def test_run_reads_one_block_per_file(ray_session, four_file_dir, tmp_path, monk
     assert ds.context.op_resource_reservation_enabled is False
 
 
+def test_run_exchange_keeps_operator_names(ray_session, four_file_dir, tmp_path, monkeypatch):
+    """Four read blocks route through a sort on fixed partition-id
+    boundaries: the stage names the per-layer timings attribute stay
+    SortMap / SortReduce and MapBatches(group_fn)."""
+    pages_dir, signals_path = four_file_dir
+    _, _, names = _run_capturing(_cfg(pages_dir, signals_path, out=str(tmp_path / "o")), monkeypatch)
+    assert names[-3:] == ["SortMap", "SortReduce", "MapBatches(group_fn)"], names
+
+
 def test_run_leaves_global_data_context(ray_session, four_file_dir, tmp_path):
     from ray.data import DataContext
 

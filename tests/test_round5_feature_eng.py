@@ -419,7 +419,9 @@ def test_vocab_encode_positions_match_naive(ray_session, tmp_path):
     assert list(map(tuple, got.itertuples(index=False))) == exp
 
 
-def test_session3_ops_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
+def test_interval_unpivot_vocab_empty_and_single_row_inputs(ray_session, tmp_path, split_reads):
+    """0-row and 1-row inputs flow through the interval join, the unpivot and
+    the vocab encoders without crashing."""
     from audio_feature_extraction_ray.pipelines.events import (
         interval_join_signup,
         unpivot_user_type,
