@@ -20,11 +20,13 @@ boundaries; a larger table keeps Ray's own split and its sampled sort.
 Money values are aggregated as integer cents so distributed results are
 bit-identical to the SQL oracle (no float-summation-order drift).
 
-Round 2: Arrow end-to-end (batch_format="pyarrow", one np.lexsort + Arrow
-take per block — no Arrow->pandas copies) and every kernel is pure numpy
-index algebra over the sorted arrays: segment heads + cumsum/propagate for
-sessions, maximum.accumulate carried-index for LOCF/as-of — NO Python loop
-per user segment (round-1 verdict #5/#6)."""
+Kernels are Arrow in, Arrow out (batch_format="pyarrow", one np.lexsort +
+Arrow take per block) and pure numpy index algebra over the sorted arrays,
+with no Python loop per user. The point-in-time primitives are shared with
+the pages kernel and live in state/kernels.py: `_seg_head` (entity heads),
+`carried_index` (LOCF), `asof_index` (the backward / forward as-of cursor),
+`gap_seconds` + `gap_sessions` (gap sessions) and `shifted_stack` (the
+k-row window)."""
 
 from __future__ import annotations
 
@@ -38,7 +40,14 @@ import ray.data
 
 from ..errors import SchemaError
 from ..stages.exchange import exchange, read_num_blocks
-from ..state.kernels import _propagate_last
+from ..state.kernels import (
+    _seg_head,
+    asof_index,
+    carried_index,
+    gap_seconds,
+    gap_sessions,
+    shifted_stack,
+)
 
 NUM_PARTITIONS = 32
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -78,12 +87,6 @@ def partitioned_ordered(
         batch_format="pyarrow",
     )
     return exchange(ds, "partition_id", group_fn, num_partitions, order=(key, *order))
-
-
-def _seg_head(uid: np.ndarray) -> np.ndarray:
-    head = np.ones(uid.size, dtype=bool)
-    head[1:] = uid[1:] != uid[:-1]
-    return head
 
 
 # ---------------------------------------------------------------------------
@@ -144,24 +147,11 @@ SESSION_GAP_S = 1800.0
 
 def sessionize(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         head = _seg_head(uid)
-        dt = np.full(n, np.nan)
-        if n > 1:
-            dt[1:] = (ts[1:] - ts[:-1]) / 1e6
-        dt[head] = np.nan
-        with np.errstate(invalid="ignore"):
-            flag = dt > SESSION_GAP_S  # NaN -> False
-        c = np.cumsum(flag)
-        head_base = np.where(head, c - flag, 0)
-        session_id = (c - _propagate_last(head_base, head)).astype(np.int64)
-        seg_head = head | flag
-        ar = np.arange(n)
-        session_len = (
-            ar - _propagate_last(np.where(seg_head, ar, 0), seg_head) + 1
-        ).astype(np.int64)
+        dt = gap_seconds(head, ts)
+        _, session_id, session_len = gap_sessions(head, dt, SESSION_GAP_S)
         return pa.table(
             {
                 "event_id": tbl.column("event_id"),
@@ -205,33 +195,16 @@ FROM s
 ROLL_K = 5
 
 
-def _shifted_stack(vals: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
-    """(k, n) stack of vals shifted by 0..k-1 rows, entries crossing a
-    segment head invalidated to NaN — the same windowing trick as the pages
-    history kernel."""
-    n = vals.size
-    shifted = np.full((k, n), np.nan)
-    shifted[0] = vals
-    for j in range(1, k):
-        if j < n:
-            shifted[j, j:] = vals[:-j]
-    ar = np.arange(n)
-    rows_since_head = ar - _propagate_last(np.where(head, ar, 0), head)
-    for j in range(1, k):
-        shifted[j, rows_since_head < j] = np.nan
-    return shifted
-
-
 def rolling(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
         uid = tbl.column("user_id").to_numpy()
         val = tbl.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         head = _seg_head(uid)
         cents = np.round(val * 100).astype(np.int64)
-        cstack = _shifted_stack(cents.astype(np.float64), head, ROLL_K)
+        cstack = shifted_stack(cents.astype(np.float64), head, ROLL_K)
         rw_count = (~np.isnan(cstack)).sum(axis=0).astype(np.int64)
         rsum = np.nansum(cstack, axis=0)  # cents << 2^53: float sum is exact
-        vstack = _shifted_stack(val, head, ROLL_K)
+        vstack = shifted_stack(val, head, ROLL_K)
         with np.errstate(invalid="ignore"):
             rw_max = np.nanmax(vstack, axis=0)
         return pa.table(
@@ -266,24 +239,17 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
 # ---------------------------------------------------------------------------
 # LOCF backfill (reference analog: Griffin-Lim partial-information
 # reconstruction idea, design.md:684-744 -> fill at t from latest obs <= t):
-# carry the latest 'purchase' value forward onto every event of the user.
-# maximum.accumulate carried-index + segment-start guard — no per-user loop.
+# carry the latest 'purchase' value forward onto every event of the user
+# with one carried_index over the whole block — no per-user loop.
 
 
 def locf(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
         uid = tbl.column("user_id").to_numpy()
         val = tbl.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         is_p = pc.equal(tbl.column("event_type"), "purchase").to_numpy(zero_copy_only=False)
-        head = _seg_head(uid)
-        ar = np.arange(n)
-        last_p = np.where(is_p, ar, -1)
-        np.maximum.accumulate(last_p, out=last_p)
-        seg_start = _propagate_last(np.where(head, ar, 0), head)
-        valid = last_p >= seg_start
-        out = np.full(n, np.nan)
-        out[valid] = val[last_p[valid]]
+        last_p = carried_index(uid, is_p)
+        out = np.where(last_p >= 0, val[last_p], np.nan)
         return pa.table(
             {
                 "event_id": tbl.column("event_id"),
@@ -309,37 +275,22 @@ FROM events
 # ---------------------------------------------------------------------------
 # sorted-merge as-of join (J2, the north rule's core operator): attach to each
 # event the latest signup-event value of the same user with signup.ts <= ts
-# ("<=": an event matches itself when it IS the signup). Tie-correct without
-# a per-user loop: re-sort with signups FIRST within equal (user, ts) so one
-# maximum.accumulate pass implements the "<=" cursor, then scatter back.
+# ("<=": an event matches itself when it IS the signup). One asof_index
+# call: signups sort FIRST within equal (user, ts), so the carried cursor
+# implements "<=" for every user at once.
 
 
 def asof_join(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         eid = tbl.column("event_id").to_numpy()
         val = tbl.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         is_sig = pc.equal(tbl.column("event_type"), "signup").to_numpy(zero_copy_only=False)
-        order2 = np.lexsort((eid, np.where(is_sig, 0, 1), ts, uid))
-        u2, t2, s2, v2 = uid[order2], ts[order2], is_sig[order2], val[order2]
-        head2 = _seg_head(u2)
-        ar = np.arange(n)
-        last_s = np.where(s2, ar, -1)
-        np.maximum.accumulate(last_s, out=last_s)
-        seg_start = _propagate_last(np.where(head2, ar, 0), head2)
-        valid2 = last_s >= seg_start
-        av2 = np.full(n, np.nan)
-        av2[valid2] = v2[last_s[valid2]]
-        at2 = np.zeros(n, dtype=np.int64)
-        at2[valid2] = t2[last_s[valid2]]
-        # scatter back to (user, ts, event_id) order
-        av = np.empty(n)
-        at = np.empty(n, dtype=np.int64)
-        ok = np.empty(n, dtype=bool)
-        av[order2], at[order2], ok[order2] = av2, at2, valid2
-        at_dt = at.astype("datetime64[us]")
+        m = asof_index(uid, ts, is_sig, eid)
+        ok = m >= 0
+        av = np.where(ok, val[m], np.nan)
+        at_dt = ts[m].astype("datetime64[us]")
         at_dt[~ok] = np.datetime64("NaT")
         return pa.table(
             {
@@ -536,11 +487,13 @@ def distinct_users(sf_dir: str) -> ray.data.Dataset:
     users into a single pandas task; this one hash-exchanges on
     hash(user_id) % P so every partition holds a 1/P user slice of every
     type, counts distinct pairs vectorized per partition, then sums the
-    <= P x n_types partials in a tiny second exchange — the same shape as
-    docs_distinct_tokens (text_analysis.py). UDFs are closures (pickled by
-    value, hashing import captured here) so workers never need the package
-    on their sys.path — module-level UDFs broke driver-from-/tmp runs."""
-    from ..functions.hashing import avalanche64
+    <= P x n_types partials in a second exchange keyed by hash(event_type),
+    all Arrow. Both exchanges are stages.exchange.exchange, so a reduce
+    block holds many partition ids; that is safe because a (type, user)
+    pair lands in one partition. UDFs are closures (pickled by value,
+    hashing imports captured here) so workers never need the package on
+    their sys.path — module-level UDFs broke driver-from-/tmp runs."""
+    from ..functions.hashing import avalanche64, string_hash_strong
 
     def dedup_pairs(tbl: pa.Table) -> pa.Table:
         """Batch-local distinct (event_type, user_id) pairs — the combiner:
@@ -570,7 +523,7 @@ def distinct_users(sf_dir: str) -> ray.data.Dataset:
         )
 
     def count_partition(tbl: pa.Table) -> pa.Table:
-        """Per-partition distinct-pair counts per event_type. A (type, user)
+        """Per-block distinct-pair counts per event_type. A (type, user)
         pair is routed by hash(user_id), so one partition sees 1/P of EVERY
         type's users — a hot type spreads over all P tasks instead of one."""
         et = tbl.column("event_type")
@@ -585,26 +538,24 @@ def distinct_users(sf_dir: str) -> ray.data.Dataset:
         if ts.size:
             head[1:] = (ts[1:] != ts[:-1]) | (us[1:] != us[:-1])
         n = np.bincount(ts[head], minlength=len(de.dictionary)).astype(np.int64)
-        return pa.table({"event_type": de.dictionary, "n_partial": pa.array(n, pa.int64())})
-
-    partials = (
-        read_events(sf_dir, ["event_type", "user_id"])
-        .map_batches(dedup_pairs, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: count_partition(g.drop_columns(["__pid"])), batch_format="pyarrow"
-        )
-    )
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+        tpid = string_hash_strong(de.dictionary) % np.uint64(DISTINCT_USERS_PARTS)
+        return pa.table(
             {
-                "event_type": [g["event_type"].iloc[0]],
-                "n_users": [np.int64(g["n_partial"].sum())],
+                "event_type": de.dictionary,
+                "n_partial": pa.array(n, pa.int64()),
+                "__tpid": pa.array(tpid.astype(np.int32)),
             }
         )
 
-    return partials.groupby("event_type").map_groups(fold, batch_format="pandas")
+    def fold(tbl: pa.Table) -> pa.Table:
+        g = tbl.group_by("event_type").aggregate([("n_partial", "sum")])
+        return pa.table({"event_type": g.column("event_type"), "n_users": g.column("n_partial_sum")})
+
+    pairs = read_events(sf_dir, ["event_type", "user_id"]).map_batches(
+        dedup_pairs, batch_format="pyarrow"
+    )
+    partials = exchange(pairs, "__pid", count_partition, DISTINCT_USERS_PARTS)
+    return exchange(partials, "__tpid", fold, DISTINCT_USERS_PARTS)
 
 
 DISTINCT_USERS_SQL = """
@@ -1041,16 +992,7 @@ def session_funnel(sf_dir: str) -> ray.data.Dataset:
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         et = tbl.column("event_type").to_numpy(zero_copy_only=False)
         head = _seg_head(uid)
-        dt = np.full(n, np.nan)
-        if n > 1:
-            dt[1:] = (ts[1:] - ts[:-1]) / 1e6
-        dt[head] = np.nan
-        with np.errstate(invalid="ignore"):
-            flag = dt > FUNNEL_GAP_S
-        c = np.cumsum(flag)
-        head_base = np.where(head, c - flag, 0)
-        session_id = (c - _propagate_last(head_base, head)).astype(np.int64)
-        seg_head = head | flag
+        seg_head, session_id, _ = gap_sessions(head, gap_seconds(head, ts), FUNNEL_GAP_S)
         starts = np.flatnonzero(seg_head)
         seg_n = np.diff(np.append(starts, n))
         is_sig = et == "signup"
@@ -1326,39 +1268,23 @@ WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
 # FORWARD as-of join: attach, at each event, the NEXT purchase at ts >= the
 # event's ts (inclusive; ties broken by the signal's event_id ascending).
 # Forward-looking state is a LABEL, not a feature — emitted under the label_
-# prefix like the leads family (leakage discipline SURVEY §4.3). Same
-# vectorized carried-index machinery as the backward as-of, run over the
-# REVERSED sorted partition (uid segments stay contiguous when reversed, so
-# one maximum.accumulate still does all users at once).
+# prefix like the leads family (leakage discipline SURVEY §4.3). The same
+# asof_index as the backward as-of, with forward=True: the cursor runs over
+# the reversed sorted block.
 
 
 def asof_join_forward(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         eid = tbl.column("event_id").to_numpy()
         val = tbl.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         is_sig = pc.equal(tbl.column("event_type"), "purchase").to_numpy(zero_copy_only=False)
-        # ascending (uid, ts, signals-after-events, eid), then reverse: the
-        # right-to-left carried signal is the earliest (sig_ts, sig_eid) >= e.ts
-        order2 = np.lexsort((eid, np.where(is_sig, 1, 0), ts, uid))[::-1]
-        u2, t2, s2, v2 = uid[order2], ts[order2], is_sig[order2], val[order2]
-        head2 = _seg_head(u2)
-        ar = np.arange(n)
-        last_s = np.where(s2, ar, -1)
-        np.maximum.accumulate(last_s, out=last_s)
-        seg_start = _propagate_last(np.where(head2, ar, 0), head2)
-        valid2 = last_s >= seg_start
-        av2 = np.full(n, np.nan)
-        av2[valid2] = v2[last_s[valid2]]
-        at2 = np.zeros(n, dtype=np.int64)
-        at2[valid2] = t2[last_s[valid2]]
-        av = np.empty(n)
-        at = np.empty(n, dtype=np.int64)
-        ok = np.empty(n, dtype=bool)
-        av[order2], at[order2], ok[order2] = av2, at2, valid2
-        at_dt = at.astype("datetime64[us]")
+        # the earliest (sig_ts, sig_eid) >= e.ts
+        m = asof_index(uid, ts, is_sig, eid, forward=True)
+        ok = m >= 0
+        av = np.where(ok, val[m], np.nan)
+        at_dt = ts[m].astype("datetime64[us]")
         at_dt[~ok] = np.datetime64("NaT")
         return pa.table(
             {
@@ -1405,7 +1331,7 @@ def rolling_median(sf_dir: str) -> ray.data.Dataset:
         val = tbl.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         head = _seg_head(uid)
         cents = np.round(val * 100).astype(np.int64)
-        cstack = _shifted_stack(cents.astype(np.float64), head, ROLL_K)
+        cstack = shifted_stack(cents.astype(np.float64), head, ROLL_K)
         with np.errstate(invalid="ignore"):
             rw_median = np.nanmedian(cstack, axis=0)
             rw_min = np.nanmin(cstack, axis=0)
@@ -1565,11 +1491,9 @@ def _transition_counts(sf_dir: str) -> ray.data.Dataset:
                 }
             )
         head = _seg_head(uid)
-        gap = np.zeros(n, dtype=bool)
-        gap[1:] = (ts[1:] - ts[:-1]) / 1e6 > SESSION_GAP_S
+        sess_head, _, _ = gap_sessions(head, gap_seconds(head, ts), SESSION_GAP_S)
         # a transition exists at i when i-1 -> i stays in the same session
-        trans = ~(head | gap)
-        trans[0] = False
+        trans = ~sess_head
         pair = codes[np.flatnonzero(trans) - 1] * k + codes[trans]
         cnt = np.bincount(pair, minlength=k * k).reshape(k, k)
         nz = np.nonzero(cnt)
@@ -1762,36 +1686,22 @@ FROM g GROUP BY user_id
 # tolerance-bounded as-of (staleness-capped LOCF): identical to asof_join
 # but a carried signal older than ASOF_TOL_US is treated as missing — the
 # freshness contract real feature stores enforce. One extra vectorized
-# comparison on top of the carried-index kernel.
+# comparison on top of asof_index.
 
 ASOF_TOL_US = 3 * 86_400_000_000  # 3 days
 
 
 def asof_join_tolerance(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         eid = tbl.column("event_id").to_numpy()
         val = tbl.column("value").to_numpy(zero_copy_only=False).astype(np.float64)
         is_sig = pc.equal(tbl.column("event_type"), "signup").to_numpy(zero_copy_only=False)
-        order2 = np.lexsort((eid, np.where(is_sig, 0, 1), ts, uid))
-        u2, t2, s2, v2 = uid[order2], ts[order2], is_sig[order2], val[order2]
-        head2 = _seg_head(u2)
-        ar = np.arange(n)
-        last_s = np.where(s2, ar, -1)
-        np.maximum.accumulate(last_s, out=last_s)
-        seg_start = _propagate_last(np.where(head2, ar, 0), head2)
-        valid2 = last_s >= seg_start
+        m = asof_index(uid, ts, is_sig, eid)
         # freshness: the carried signal must be within the tolerance window
-        fresh = np.zeros(n, dtype=bool)
-        fresh[valid2] = t2[valid2] - t2[last_s[valid2]] <= ASOF_TOL_US
-        valid2 &= fresh
-        av2 = np.full(n, np.nan)
-        av2[valid2] = v2[last_s[valid2]]
-        av = np.empty(n)
-        ok = np.empty(n, dtype=bool)
-        av[order2], ok[order2] = av2, valid2
+        ok = (m >= 0) & (ts - ts[m] <= ASOF_TOL_US)
+        av = np.where(ok, val[m], np.nan)
         return pa.table(
             {
                 "event_id": tbl.column("event_id"),
@@ -1853,32 +1763,16 @@ def feature_matrix(sf_dir: str) -> ray.data.Dataset:
         cs = np.cumsum(cents)
         run_sum = cs - (cs[head_idx] - cents[head_idx])[seg_id]
         # rolling-k mean over the same frame as `rolling`
-        cstack = _shifted_stack(cents.astype(np.float64), head, ROLL_K)
+        cstack = shifted_stack(cents.astype(np.float64), head, ROLL_K)
         rw_n = (~np.isnan(cstack)).sum(axis=0).astype(np.int64)
         rw_sum = np.nansum(cstack, axis=0)
         rw_mean = rw_sum / (100.0 * rw_n)
         # as-of signup value (signals-before-events tie rule, as asof_join)
         is_sig = pc.equal(tbl.column("event_type"), "signup").to_numpy(zero_copy_only=False)
-        order2 = np.lexsort((eid, np.where(is_sig, 0, 1), ts, uid))
-        u2, s2 = uid[order2], is_sig[order2]
-        head2 = _seg_head(u2)
-        last_s = np.where(s2, np.arange(n), -1)
-        np.maximum.accumulate(last_s, out=last_s)
-        seg_start2 = _propagate_last(np.where(head2, np.arange(n), 0), head2)
-        valid2 = last_s >= seg_start2
-        av2 = np.full(n, np.nan)
-        av2[valid2] = val[order2][last_s[valid2]]
-        asof_v = np.empty(n)
-        asof_v[order2] = av2
+        m = asof_index(uid, ts, is_sig, eid)
+        asof_v = np.where(m >= 0, val[m], np.nan)
         # session id (same gap rule as sessionize)
-        dt = np.full(n, np.nan)
-        if n > 1:
-            dt[1:] = (ts[1:] - ts[:-1]) / 1e6
-        dt[head] = np.nan
-        with np.errstate(invalid="ignore"):
-            flag = dt > SESSION_GAP_S
-        c = np.cumsum(flag)
-        session_id = (c - _propagate_last(np.where(head, c - flag, 0), head)).astype(np.int64)
+        _, session_id, _ = gap_sessions(head, gap_seconds(head, ts), SESSION_GAP_S)
         return pa.table(
             {
                 "event_id": tbl.column("event_id"),
@@ -2030,10 +1924,7 @@ def session_stats(sf_dir: str) -> ray.data.Dataset:
             et = et.combine_chunks()
         tcodes = pc.dictionary_encode(et).indices.to_numpy(zero_copy_only=False).astype(np.int64)
         head = _seg_head(uid)
-        gap = np.zeros(n, dtype=bool)
-        if n > 1:
-            gap[1:] = (ts[1:] - ts[:-1]) / 1e6 > SESSION_GAP_S
-        sess_head = head | gap
+        sess_head, local_sid, _ = gap_sessions(head, gap_seconds(head, ts), SESSION_GAP_S)
         sid = np.cumsum(sess_head) - 1  # global session index within partition
         nsess = int(sid[-1]) + 1 if n else 0
         starts = np.flatnonzero(sess_head)
@@ -2047,8 +1938,6 @@ def session_stats(sf_dir: str) -> ray.data.Dataset:
         n_types = np.bincount(
             (uniq_pairs // (tcodes.max() + 1 if n else 1)).astype(np.int64), minlength=nsess
         ).astype(np.int64)
-        # session_id local to the user (matches sessionize numbering, from 0)
-        local_sid = sid - _propagate_last(np.where(head, sid, 0), head)
         return pa.table(
             {
                 "user_id": pa.array(uid[starts], pa.int64()),
@@ -5509,10 +5398,9 @@ FROM u
 # as-of family (backward=asof_join, forward=asof_join_forward,
 # tolerance=asof_join_tolerance): each event takes the purchase signal
 # minimizing |sig_ts - ts| within the same user, backward winning exact
-# distance ties. Both directional candidates come from the SAME two
-# carried-index scans the directional ops use (one ascending for "<=",
-# one reversed for ">="), then a vectorized pick — no new join
-# machinery. Tie contract, engine == SQL by construction: backward
+# distance ties. Both directional candidates come from the SAME
+# asof_index calls the directional ops use (backward for "<=", forward for
+# ">="), then a vectorized pick — no new join machinery. Tie contract, engine == SQL by construction: backward
 # candidate maximizes (sig_ts, is-self, sig_id), forward minimizes
 # (sig_ts, NOT is-self, sig_id) — "is-self" because a purchase event is
 # its own zero-distance match on both sides (the asof_join "<=" rule).
@@ -5521,7 +5409,6 @@ FROM u
 
 def asof_join_nearest(sf_dir: str) -> ray.data.Dataset:
     def kernel(tbl: pa.Table) -> pa.Table:
-        n = tbl.num_rows
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         eid = tbl.column("event_id").to_numpy()
@@ -5529,38 +5416,17 @@ def asof_join_nearest(sf_dir: str) -> ray.data.Dataset:
         is_sig = pc.equal(tbl.column("event_type"), "purchase").to_numpy(
             zero_copy_only=False
         )
-        ar = np.arange(n)
-
-        def scan(order: np.ndarray):
-            u2, t2, s2, v2 = uid[order], ts[order], is_sig[order], val[order]
-            head2 = _seg_head(u2)
-            last_s = np.where(s2, ar, -1)
-            np.maximum.accumulate(last_s, out=last_s)
-            seg_start = _propagate_last(np.where(head2, ar, 0), head2)
-            ok2 = last_s >= seg_start
-            v = np.full(n, np.nan)
-            v[ok2] = v2[last_s[ok2]]
-            t = np.zeros(n, dtype=np.int64)
-            t[ok2] = t2[last_s[ok2]]
-            vv = np.empty(n)
-            tt = np.empty(n, dtype=np.int64)
-            oo = np.empty(n, dtype=bool)
-            vv[order], tt[order], oo[order] = v, t, ok2
-            return vv, tt, oo
-
-        # backward: signals BEFORE events at equal ts, eid asc -> carried
-        # pick = max (sig_ts, is-self, sig_id)  (the asof_join ordering)
-        bv, bt, bok = scan(np.lexsort((eid, np.where(is_sig, 0, 1), ts, uid)))
-        # forward: reversed scan -> pick = min (sig_ts, not-self, sig_id)
-        fv, ft, fok = scan(np.lexsort((eid, np.where(is_sig, 1, 0), ts, uid))[::-1])
-
-        bdt = ts - bt  # >= 0 where bok
-        fdt = ft - ts  # >= 0 where fok
+        # backward pick = max (sig_ts, is-self, sig_id) (the asof_join
+        # ordering); forward pick = min (sig_ts, not-self, sig_id)
+        b = asof_index(uid, ts, is_sig, eid)
+        f = asof_index(uid, ts, is_sig, eid, forward=True)
+        bok, fok = b >= 0, f >= 0
+        bdt = ts - ts[b]  # >= 0 where bok
+        fdt = ts[f] - ts  # >= 0 where fok
         use_b = bok & (~fok | (bdt <= fdt))
         ok = bok | fok
-        value = np.where(use_b, bv, fv)
+        value = np.where(ok, val[np.where(use_b, b, f)], np.nan)
         dt = np.where(use_b, -bdt, fdt)
-        value = np.where(ok, value, np.nan)
         return pa.table(
             {
                 "event_id": tbl.column("event_id"),
@@ -6047,17 +5913,9 @@ def funnel_paths_topk(sf_dir: str, k: int = FUNNEL_PATHS_K):
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         head = _seg_head(uid)
-        dt = np.full(n, np.nan)
-        if n > 1:
-            dt[1:] = (ts[1:] - ts[:-1]) / 1e6
-        dt[head] = np.nan
-        with np.errstate(invalid="ignore"):
-            seg_head = head | (dt > SESSION_GAP_S)
+        seg_head, _, sess_len = gap_sessions(head, gap_seconds(head, ts), SESSION_GAP_S)
         sess = np.cumsum(seg_head) - 1
-        ar = np.arange(n, dtype=np.int64)
-        start = _propagate_last(np.where(seg_head, ar, 0), seg_head)
-        rn = ar - start
-        mask = rn < FUNNEL_PATHS_LEN
+        mask = sess_len <= FUNNEL_PATHS_LEN
         et = np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
         df = pd.DataFrame({"sess": sess[mask], "t": et[mask]})
         paths = df.groupby("sess", sort=True)["t"].agg(">".join)
@@ -6541,10 +6399,7 @@ def session_concurrency(sf_dir: str):
         uid = tbl.column("user_id").to_numpy()
         ts = tbl.column("ts").cast(pa.int64()).to_numpy()
         head = _seg_head(uid)
-        gap = np.zeros(n, dtype=bool)
-        if n > 1:
-            gap[1:] = (ts[1:] - ts[:-1]) / 1e6 > SESSION_GAP_S
-        sess_head = head | gap
+        sess_head, _, _ = gap_sessions(head, gap_seconds(head, ts), SESSION_GAP_S)
         starts = np.flatnonzero(sess_head)
         ends = np.append(starts[1:] - 1, n - 1)
         return pa.table(

@@ -59,6 +59,7 @@ engine.read_num_blocks to split them.
 from __future__ import annotations
 
 import functools
+import hashlib
 import time
 
 import numpy as np
@@ -165,22 +166,34 @@ def _read_input(cfg: PipelineConfig) -> ray.data.Dataset:
     return ds.map_batches(project, batch_format="pyarrow")
 
 
+def _sample_urls(cfg: PipelineConfig) -> pa.Array:
+    """Driver-side url sample of about engine.range_sample_size rows, the
+    input of the range bounds and of hot-host detection. A row is kept when
+    its url hash falls below frac x 2^64, so the sample, and the partition
+    layout built from it, is the same however the read is split. The row
+    count comes from parquet footers and the urls from a column-pruned read,
+    never from the prepared dataset (that would run the extract stage once
+    just to count)."""
+    files = _input_files(cfg)
+    n = _input_row_count(files) or 1
+    frac = min(1.0, cfg.engine.range_sample_size / n)
+    cut = np.uint64(min(int(frac * 2.0**64), 2**64 - 1))
+
+    def keep(tbl: pa.Table) -> pa.Table:
+        return tbl.filter(pa.array(string_hash_strong(tbl.column("url")) <= cut))
+
+    sample = ray.data.read_parquet(
+        cfg.input_path, columns=["url"], override_num_blocks=_read_num_blocks(cfg, files)
+    ).map_batches(keep, batch_format="pyarrow")
+    return pa.array([r["url"] for r in sample.take_all()], pa.string())
+
+
 def _build_partitioner(cfg: PipelineConfig):
     e = cfg.engine
     if e.partitioner == "hash":
         return HashPartitioner(e.num_partitions)
-    # range: driver-side url sample -> bounds (+ hot-range salting).
-    # Row count comes from parquet FOOTERS and the sample from a raw
-    # column-pruned read — never from the prepared dataset, which would
-    # execute the whole extract stage once just to count (round-1 verdict #4)
-    n = _input_row_count(_input_files(cfg)) or 1
-    frac = min(1.0, e.range_sample_size / max(1, n))
-    sample = (
-        ray.data.read_parquet(cfg.input_path, columns=["url"])
-        .random_sample(frac, seed=7)
-        .take_all()
-    )
-    urls = [r["url"] for r in sample]
+    # range: sampled url bounds (+ hot-range salting)
+    urls = _sample_urls(cfg).to_pylist()
     return RangePartitioner.from_sample(urls, e.num_partitions, hot_salt=e.hot_salt)
 
 
@@ -261,20 +274,22 @@ def build_dataset(cfg: PipelineConfig) -> tuple[ray.data.Dataset, HashPartitione
     return ds, partitioner
 
 
-def _tagged_input(cfg: PipelineConfig, copart: bool) -> tuple[ray.data.Dataset, int]:
-    """The partition-tagged rows the exchange routes, and how many partition
-    ids they can carry."""
+def _tagged_input(
+    cfg: PipelineConfig, copart: bool
+) -> tuple[ray.data.Dataset, int, HashPartitioner | RangePartitioner | HostSaltPartitioner]:
+    """The partition-tagged rows the exchange routes, how many partition ids
+    they can carry, and the resolved partitioner."""
     if copart:
         ds, partitioner = build_copartitioned(cfg)
-        return ds, partitioner.total_partitions
+        return ds, partitioner.total_partitions, partitioner
     ds, partitioner = build_dataset(cfg)
-    return ds, partitioner.num_partitions
+    return ds, partitioner.num_partitions, partitioner
 
 
 def feature_dataset(cfg: PipelineConfig) -> ray.data.Dataset:
     """Full pipeline returning the feature table as a (lazy) Dataset."""
     copart = _use_copartition(cfg)
-    ds, parts = _tagged_input(cfg, copart)
+    ds, parts, _ = _tagged_input(cfg, copart)
     if copart:
         fn = _make_copart_group_fn(cfg.features, output_dir=None)
     else:
@@ -369,20 +384,13 @@ def _replicate_signals_batch(tbl: pa.Table, partitioner: HostSaltPartitioner) ->
 
 
 def _sample_hosts(cfg: PipelineConfig) -> list[str]:
-    """Driver-side host sample for hot detection (metadata row count + a
-    column-pruned sampled read — never a full materialization)."""
-    total = sum(pq.read_metadata(p).num_rows for p in _input_files(cfg))
-    frac = min(1.0, cfg.engine.range_sample_size / max(1, total))
-    sample = (
-        ray.data.read_parquet(cfg.input_path, columns=["url"]).random_sample(frac, seed=7).take_all()
-    )
+    """Driver-side host sample for hot detection, from _sample_urls."""
     # SAME host extraction as the partition router (stages/text_stage
     # _host_from_url) — hot-host detection and routing must agree on the
     # host string or skewed hosts can be missed
     from ..stages.text_stage import _host_from_url
 
-    urls = pa.array([r["url"] for r in sample], pa.string())
-    return _host_from_url(urls).to_pylist()
+    return _host_from_url(_sample_urls(cfg)).to_pylist()
 
 
 def _make_copart_group_fn(fcfg: FeatureConfig, output_dir: str | None, lineage: dict | None = None):
@@ -625,12 +633,15 @@ def run(cfg: PipelineConfig) -> dict:
     if not cfg.engine.output_dir:
         raise ValueError("run() requires engine.output_dir")
     copart = _use_copartition(cfg)
-    ds, parts = _tagged_input(cfg, copart)
-    # fingerprint the RESOLVED partition layout, not just the config flag:
+    ds, parts, partitioner = _tagged_input(cfg, copart)
+    # fingerprint the RESOLVED partition layout, not just the config:
     # broadcast_signals_max_rows / the signals row count flip the layout
-    # between url-keyed and host-salt, and partitions from one layout must
-    # never be reused under the other (partition ids mean different row sets)
-    fp = cfg.semantics_fingerprint() + ("-copart" if copart else "-bcast")
+    # between url-keyed and host-salt, and the sampled range bounds and hot
+    # hosts move with range_sample_size and the input. Partitions from one
+    # layout must never be reused under another (partition ids mean
+    # different row sets); the partitioner's repr lists its whole layout.
+    layout = hashlib.sha256(repr(partitioner).encode()).hexdigest()[:12]
+    fp = cfg.semantics_fingerprint() + ("-copart-" if copart else "-bcast-") + layout
     lineage = {"input_path": cfg.input_path, "config_sha": fp}
     done = load_completed(cfg.engine.output_dir) if cfg.engine.resume else {}
     # resume safety: only reuse partitions produced under IDENTICAL semantics

@@ -7,11 +7,10 @@ unioned with a side tag, routed by `stages.exchange.exchange`, and merged per
 reduce block (many keys at once) with ONE vectorized pass
 ("<=" tie semantics: an equal-timestamp right row IS visible to the left row).
 
-Round 2: the merge kernel is Arrow end-to-end and fully vectorized — keys are
-dictionary-encoded to int codes, rows lexsorted (key, ts, right-before-left on
-ties), and one maximum.accumulate over carried right-row indices implements
-the as-of cursor for EVERY key segment at once. No Python loop per key
-(round-1 verdict #5/#6).
+The merge dictionary-encodes the key to int codes and finds every left
+row's right match with `state.kernels.asof_index`, the as-of cursor the
+events kernels and the pages LOCF share: one sort and one carried index for
+every key segment at once, no Python loop per key.
 
 Partitioning contract: the join key must be the partition key of both sides
 (for the pages pipeline that means partitioning by host instead of url when
@@ -29,6 +28,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import avalanche64, string_hash_strong
+from ..state.kernels import asof_index
 from .exchange import exchange
 
 
@@ -115,40 +115,27 @@ def asof_join_copartitioned(
     unioned = lt.union(rt)
 
     def merge(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        n = tbl.num_rows
         key_col = tbl.column("__key")
         if isinstance(key_col, pa.ChunkedArray):
             key_col = key_col.combine_chunks()
         kc = pc.dictionary_encode(key_col).indices.to_numpy(zero_copy_only=False)
         ts = tbl.column("__ts").to_numpy()
         is_r = tbl.column("__side").to_numpy(zero_copy_only=False) == 1
-        # sort: key, ts, right-before-left on ts ties -> "<=" semantics
-        order = np.lexsort((np.where(is_r, 0, 1), ts, kc))
-        kcs, isr = kc[order], is_r[order]
-        ar = np.arange(n)
-        ridx = np.where(isr, ar, -1)
-        np.maximum.accumulate(ridx, out=ridx)
-        valid = ridx >= 0
-        valid &= kcs[np.maximum(ridx, 0)] == kcs  # match must share the key
-        lpos = ~isr
-        lorig = order[lpos]  # original row ids of left rows, in sorted order
-        match_sorted = ridx[lpos]
-        mvalid = valid[lpos]
-        rorig = order[np.maximum(match_sorted, 0)]  # original row ids of matches
-        left_tbl = tbl.take(pa.array(lorig))
+        # equal-ts right rows: the last in block order wins
+        match = asof_index(kc, ts, is_r, np.arange(tbl.num_rows))
+        lrows = np.flatnonzero(~is_r)
+        mrows = match[lrows]
+        mvalid = mrows >= 0
+        left_tbl = tbl.take(pa.array(lrows))
         cols: dict[str, pa.Array] = {key: left_tbl.column("__key")}
         cols[left_ts] = left_tbl.column("__ts").cast(pa.timestamp("us"))
         for c in all_left:
             cols[c] = left_tbl.column(c)
-        nl = lorig.size
         for c in right_value_cols:
             rv = np.asarray(
                 tbl.column(c).to_numpy(zero_copy_only=False), dtype=np.float64
             )
-            out = np.full(nl, np.nan)
-            out[mvalid] = rv[rorig[mvalid]]
-            cols[prefix + c] = pa.array(out, pa.float64())
+            cols[prefix + c] = pa.array(np.where(mvalid, rv[mrows], np.nan), pa.float64())
         return pa.table(cols)
 
     return exchange(unioned, "__pid", merge, num_partitions)

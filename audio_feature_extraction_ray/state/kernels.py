@@ -174,8 +174,7 @@ class SignalsLookup:
         self._rank = rank[order]
         self._ok = ok[order]
         if hs.size:
-            head = np.ones(hs.size, dtype=bool)
-            head[1:] = hs[1:] != hs[:-1]
+            head = _seg_head(hs)
             self._hosts = hs[head]
             self._off = np.append(np.flatnonzero(head), hs.size).astype(np.int64)
         else:
@@ -212,11 +211,10 @@ class SignalsLookup:
         """Whole-chunk LOCF: rows form host runs (run_hosts[k] covers rows
         run_bounds[k]:run_bounds[k+1]); returns (rank, fetch_ok) per row.
 
-        One merge: touched signal entries + query rows are tagged with a
-        compact run id, lexsorted (run, ts, signal-before-query on ties) and
-        a single maximum.accumulate carries the latest signal index onto
-        every query row — identical semantics to per-host locf() (pinned by
-        pytest), no Python loop over runs."""
+        The touched signal entries and the query rows are tagged with a
+        compact run id and resolved by one asof_index call (a signal at the
+        query's ts is visible: "<="). Same semantics as per-host locf(),
+        pinned by pytest; no Python loop over runs."""
         n = ts_us.size
         rank = np.full(n, np.nan)
         okv = np.full(n, np.nan)
@@ -243,24 +241,17 @@ class SignalsLookup:
         q_rows = np.flatnonzero(valid_run[row_run])
         q_seg = compact[row_run[q_rows]]
         nq = q_rows.size
-        m_seg = np.concatenate([sig_seg, q_seg])
-        m_ts = np.concatenate([self._ts[sig_idx], ts_us[q_rows]])
-        m_isq = np.concatenate(
-            [np.zeros(ns, dtype=np.int8), np.ones(nq, dtype=np.int8)]
-        )
-        order = np.lexsort((m_isq, m_ts, m_seg))  # signal before query on ties: "<="
-        seg_s = m_seg[order]
-        isq_s = m_isq[order] == 1
-        ar = np.arange(order.size)
-        last_sig = np.where(~isq_s, ar, -1)
-        np.maximum.accumulate(last_sig, out=last_sig)
-        hit = last_sig >= 0
-        hit &= seg_s[np.maximum(last_sig, 0)] == seg_s
-        qsel = isq_s & hit
-        sig_of_merged = np.concatenate([sig_idx, np.zeros(nq, dtype=np.int64)])[order]
-        q_of_merged = np.concatenate([np.full(ns, -1, dtype=np.int64), q_rows])[order]
-        rows = q_of_merged[qsel]
-        vals = sig_of_merged[last_sig[qsel]]
+        # tiebreak by merged position: among equal-ts signals of a host the
+        # last in signal order wins, as in locf()'s searchsorted(side="right")
+        match = asof_index(
+            np.concatenate([sig_seg, q_seg]),
+            np.concatenate([self._ts[sig_idx], ts_us[q_rows]]),
+            np.arange(ns + nq) < ns,
+            np.arange(ns + nq),
+        )[ns:]
+        hit = match >= 0
+        rows = q_rows[hit]
+        vals = sig_idx[match[hit]]
         rank[rows] = self._rank[vals]
         okv[rows] = self._ok[vals]
         return rank, okv
@@ -303,6 +294,89 @@ def _propagate_last(head_vals: np.ndarray, head_mask: np.ndarray) -> np.ndarray:
     return head_vals[idx]
 
 
+# ---------------------------------------------------------------------------
+# point-in-time primitives over a frame sorted by (segment, ts, ...): the
+# as-of cursor, gap sessions and the k-row window, shared by the pages
+# kernel (_history_features, SignalsLookup.locf_runs), the events kernels
+# (pipelines/events.py) and the co-partitioned as-of join (stages/asof.py).
+
+
+def _seg_head(seg: np.ndarray) -> np.ndarray:
+    """head[i] = seg[i] != seg[i-1]; head[0] = True."""
+    head = np.ones(seg.size, dtype=bool)
+    head[1:] = seg[1:] != seg[:-1]
+    return head
+
+
+def carried_index(seg: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """The as-of cursor: for each row, the position of the latest `src` row
+    at or before it within its segment (rows of one segment are contiguous),
+    or -1. One maximum.accumulate serves every segment at once."""
+    last = np.where(src, np.arange(src.size), -1)
+    np.maximum.accumulate(last, out=last)
+    last[seg[np.maximum(last, 0)] != seg] = -1
+    return last
+
+
+def asof_index(
+    seg: np.ndarray, ts: np.ndarray, src: np.ndarray, tiebreak: np.ndarray, forward: bool = False
+) -> np.ndarray:
+    """Per row, the row index of its as-of `src` match in the same segment,
+    or -1. Backward: the latest source with source.ts <= ts. Forward: the
+    earliest with source.ts >= ts. At equal ts a source counts as before
+    (backward) or after (forward) the other rows, so a source row matches
+    itself; among equal-ts sources the largest (backward) or smallest
+    (forward) `tiebreak` wins. Rows may come in any order."""
+    if forward:
+        # the cursor runs over the reversed ascending order
+        order = np.lexsort((tiebreak, src, ts, seg))[::-1]
+    else:
+        order = np.lexsort((tiebreak, ~src, ts, seg))
+    hit = carried_index(seg[order], src[order])
+    out = np.empty(order.size, dtype=np.int64)
+    out[order] = np.where(hit >= 0, order[hit], -1)
+    return out
+
+
+def gap_seconds(head: np.ndarray, ts_us: np.ndarray) -> np.ndarray:
+    """Seconds since the previous row of the same segment; NaN at heads."""
+    dt = np.full(ts_us.size, np.nan)
+    dt[1:] = (ts_us[1:] - ts_us[:-1]) / 1e6
+    dt[head] = np.nan
+    return dt
+
+
+def gap_sessions(
+    head: np.ndarray, dt: np.ndarray, gap_s: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gap sessions within segments: a gap strictly greater than gap_s
+    starts a session (NaN gaps never do). Returns (session-head flag,
+    session_id counted from 0 at each segment head, session_len = rows
+    since the session head, inclusive)."""
+    with np.errstate(invalid="ignore"):
+        flag = dt > gap_s
+    c = np.cumsum(flag)
+    session_id = c - _propagate_last(np.where(head, c - flag, 0), head)
+    sess_head = head | flag
+    ar = np.arange(dt.size)
+    session_len = ar - _propagate_last(np.where(sess_head, ar, 0), sess_head) + 1
+    return sess_head, session_id, session_len
+
+
+def shifted_stack(vals: np.ndarray, head: np.ndarray, k: int) -> np.ndarray:
+    """The k-row window: a (k, n) stack of vals shifted down by 0..k-1 rows,
+    NaN where the shift crosses a segment head."""
+    n = vals.size
+    shifted = np.full((k, n), np.nan)
+    shifted[0] = vals
+    ar = np.arange(n)
+    rows_since_head = ar - _propagate_last(np.where(head, ar, 0), head)
+    for j in range(1, min(k, n)):
+        shifted[j, j:] = vals[:-j]
+        shifted[j, rows_since_head < j] = np.nan
+    return shifted
+
+
 def _history_features(
     url_col: pa.Array,
     ts_us: np.ndarray,
@@ -325,34 +399,26 @@ def _history_features(
     cont = carry is not None and n > 0 and first_url == carry.url  # first segment continues
 
     # --- ts_since_prev -----------------------------------------------------
-    dt = np.full(n, np.nan)
-    dt[1:] = (ts_us[1:] - ts_us[:-1]) / 1e6
-    dt[head] = np.nan
+    dt = gap_seconds(head, ts_us)
     if cont:
         dt[0] = (ts_us[0] - carry.ts_us) / 1e6
 
     # --- sessions ----------------------------------------------------------
-    sess_flag = np.zeros(n, dtype=bool)
-    with np.errstate(invalid="ignore"):
-        sess_flag = dt > gap_s  # NaN -> False
-    c = np.cumsum(sess_flag)
-    # session_id = flags since url head (head rows restart at 0; a continuing
-    # chunk head may itself carry a True flag, already included in c)
-    head_c = np.where(head, c - sess_flag, 0)
-    session_id = (c - _propagate_last(head_c, head)).astype(np.float64)
-    # session_len = rows since last session head (head of url or sess_flag)
-    seg_head = head | sess_flag
+    # a continuing chunk head (dt[0] from the carry) may itself start a
+    # session; its session_id then reads 1 before the carry is added
+    sess_head, session_id, session_len = gap_sessions(head, dt, gap_s)
+    session_id = session_id.astype(np.float64)
+    session_len = session_len.astype(np.float64)
     ar = np.arange(n)
-    session_len = ar - _propagate_last(np.where(seg_head, ar, 0), seg_head) + 1.0
     if cont:
         seg0 = int(np.argmax(head[1:]) + 1) if n > 1 and head[1:].any() else n  # first segment end
         session_id[:seg0] += carry.session_id
-        if not sess_flag[0]:
+        if not dt[0] > gap_s:
             # rows of the first *session* sub-segment continue the carried length
             sub_end = seg0
-            flags_in_seg = np.nonzero(sess_flag[:seg0])[0]
+            flags_in_seg = np.nonzero(sess_head[1:seg0])[0]
             if flags_in_seg.size:
-                sub_end = int(flags_in_seg[0])
+                sub_end = int(flags_in_seg[0]) + 1
             session_len[:sub_end] += carry.session_len
 
     # --- lang run length ---------------------------------------------------
@@ -375,15 +441,9 @@ def _history_features(
         lag1[0] = carry.recent_tok[-1] if carry.recent_tok else np.nan
 
     # --- rolling window over last k (incl. current) ------------------------
-    # stack k shifted copies; invalidate entries that cross a url head / carry
-    shifted = np.full((k, n), np.nan)
-    shifted[0] = tokc
-    for j in range(1, k):
-        shifted[j, j:] = tokc[:-j] if j < n else np.nan
-    # distance to url head: rows_since_head
-    rows_since_head = ar - _propagate_last(np.where(head, ar, 0), head)
-    for j in range(1, k):
-        shifted[j, rows_since_head < j] = np.nan
+    # entries that cross a url head are NaN; a continuing first segment
+    # takes them from the carry
+    shifted = shifted_stack(tokc, head, k)
     if cont and carry.recent_tok:
         seg0 = int(np.argmax(head[1:]) + 1) if n > 1 and head[1:].any() else n
         rt = carry.recent_tok  # most recent last

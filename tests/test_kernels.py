@@ -13,8 +13,14 @@ from audio_feature_extraction_ray.stages.text_stage import prepare_batch
 from audio_feature_extraction_ray.state.kernels import (
     SignalsLookup,
     StreamingMerger,
+    _seg_head,
     _sort_dedup,
+    asof_index,
+    carried_index,
+    gap_seconds,
+    gap_sessions,
     merge_partition,
+    shifted_stack,
 )
 from audio_feature_extraction_ray.testdata import PAGES_SCHEMA, SIGNALS_SCHEMA, _make_html
 
@@ -219,3 +225,134 @@ def test_job_report_slow_partition_predicate():
     # empty run: predicate fields are null, not crashing
     rep3 = job_report([])
     assert rep3["slow_partitions"] == [] and rep3["rows_per_s_median"] is None
+
+
+# ---------------------------------------------------------------------------
+# point-in-time primitives vs brute-force per-row loops, on seeded random
+# blocks with heavy timestamp ties; sizes 0 and 1, one entity, and blocks
+# without source rows included.
+
+
+def _blocks(seed, count=300):
+    rng = np.random.default_rng(seed)
+    for b in range(count):
+        n = int(rng.choice([0, 1, 2, 7, 40]))
+        seg = rng.integers(0, int(rng.integers(1, 4)), n)  # often one entity
+        ts = rng.choice([0, 5, 5, 9, 100], n).astype(np.int64)
+        src = rng.random(n) < (0.0 if b % 4 == 0 else 0.4)  # every 4th: no sources
+        tiebreak = rng.permutation(n).astype(np.int64)
+        yield seg, ts, src, tiebreak
+
+
+def _sorted_block(seg, ts):
+    order = np.lexsort((ts, seg))
+    return seg[order], ts[order]
+
+
+def test_carried_index_matches_loop():
+    for seg, _, src, _ in _blocks(1):
+        seg = np.sort(seg)
+        want = np.full(seg.size, -1)
+        for i in range(seg.size):
+            for j in range(i, -1, -1):
+                if seg[j] != seg[i]:
+                    break
+                if src[j]:
+                    want[i] = j
+                    break
+        np.testing.assert_array_equal(carried_index(seg, src), want)
+
+
+def _asof_loop(seg, ts, src, tiebreak, forward):
+    """A source row matches itself; any other row takes the latest
+    (backward) or earliest (forward) source of its segment on its side of
+    its ts, equal ts included, ties going to the largest (backward) or
+    smallest (forward) tiebreak."""
+    want = np.full(seg.size, -1)
+    for i in range(seg.size):
+        if src[i]:
+            want[i] = i
+            continue
+        cands = [
+            j
+            for j in range(seg.size)
+            if src[j] and seg[j] == seg[i] and (ts[j] >= ts[i] if forward else ts[j] <= ts[i])
+        ]
+        if cands:
+            pick = min if forward else max
+            want[i] = pick(cands, key=lambda j: (ts[j], tiebreak[j]))
+    return want
+
+
+def test_asof_index_matches_loop_both_directions():
+    for seg, ts, src, tiebreak in _blocks(2):
+        for forward in (False, True):
+            got = asof_index(seg, ts, src, tiebreak, forward=forward)
+            np.testing.assert_array_equal(got, _asof_loop(seg, ts, src, tiebreak, forward))
+            hit = got >= 0
+            # leakage: a backward match never lies after the row, a forward
+            # match never before it; both stay in the row's segment
+            if forward:
+                assert (ts[got[hit]] >= ts[hit]).all()
+            else:
+                assert (ts[got[hit]] <= ts[hit]).all()
+            assert (seg[got[hit]] == seg[hit]).all()
+            assert (got[src] == np.flatnonzero(src)).all()  # a source matches itself
+
+
+def test_asof_index_equal_ts_and_empty():
+    seg = np.array([0, 0, 0, 0])
+    ts = np.array([10, 10, 20, 20])
+    src = np.array([False, True, False, True])
+    tb = np.arange(4)
+    # the source at ts 10 is visible to the other ts-10 row ("<="); the
+    # forward cursor from ts 10 stops at that same source
+    np.testing.assert_array_equal(asof_index(seg, ts, src, tb), [1, 1, 3, 3])
+    np.testing.assert_array_equal(asof_index(seg, ts, src, tb, forward=True), [1, 1, 3, 3])
+    empty = np.array([], dtype=np.int64)
+    assert asof_index(empty, empty, empty.astype(bool), empty).size == 0
+    assert carried_index(empty, empty.astype(bool)).size == 0
+
+
+def test_gap_sessions_match_loop():
+    gap = 5.0
+    for seg, ts, _, _ in _blocks(3):
+        seg, ts = _sorted_block(seg, ts * 1_000_000)
+        head = _seg_head(seg)
+        dt = gap_seconds(head, ts)
+        sess_head, sid, slen = gap_sessions(head, dt, gap)
+        for i in range(seg.size):
+            if head[i]:
+                assert np.isnan(dt[i])
+                want_head, want_sid, want_len = True, 0, 1
+            else:
+                assert dt[i] == (ts[i] - ts[i - 1]) / 1e6
+                new = dt[i] > gap
+                want_head = new
+                want_sid = sid[i - 1] + new
+                want_len = 1 if new else slen[i - 1] + 1
+            assert (sess_head[i], sid[i], slen[i]) == (want_head, want_sid, want_len)
+    # a gap exactly at the threshold does not start a session
+    head = np.array([True, False, False])
+    dt = gap_seconds(head, np.array([0, 5, 11]) * 1_000_000)
+    sess_head, sid, slen = gap_sessions(head, dt, gap)
+    assert sess_head.tolist() == [True, False, True]
+    assert sid.tolist() == [0, 0, 1] and slen.tolist() == [1, 2, 1]
+
+
+def test_shifted_stack_matches_loop():
+    rng = np.random.default_rng(4)
+    for seg, _, _, _ in _blocks(5):
+        seg = np.sort(seg)
+        head = _seg_head(seg)
+        vals = rng.random(seg.size)
+        for k in (1, 3, 5):
+            got = shifted_stack(vals, head, k)
+            assert got.shape == (k, seg.size)
+            for i in range(seg.size):
+                start = max(j for j in range(i + 1) if head[j])
+                for j in range(k):
+                    if i - j >= start:
+                        assert got[j, i] == vals[i - j]
+                    else:
+                        assert np.isnan(got[j, i])

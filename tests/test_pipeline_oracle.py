@@ -5,6 +5,7 @@ leakage, deterministic across runs, resumable from per-partition checkpoints.
 """
 
 import glob
+import os
 import shutil
 
 import numpy as np
@@ -485,6 +486,68 @@ def test_block_layout_never_changes_output(ray_session, four_file_dir, tmp_path,
     assert rep_s["rows_out"] == rep_d["rows_out"] > 0
     assert len(_checksums(default.engine.output_dir)) == 8
     assert _checksums(split.engine.output_dir) == _checksums(default.engine.output_dir)
+
+
+def test_range_layout_ignores_read_split(ray_session, four_file_dir, tmp_path, monkeypatch):
+    """The range bounds come from a url-hash sample, so reads split into
+    other block counts (engine.read_num_blocks, and Ray's own split under a
+    tiny target_min_block_size) sample the same urls: same layout
+    fingerprint and byte-identical partitions."""
+    from ray.data import DataContext
+
+    pages_dir, signals_path = four_file_dir
+    default = _cfg(pages_dir, signals_path, partitioner="range", out=str(tmp_path / "default"))
+    split = _cfg(pages_dir, signals_path, partitioner="range", out=str(tmp_path / "split"))
+    for cfg in (default, split):
+        cfg.engine.range_sample_size = 300
+    split.engine.read_num_blocks = 8
+    run(default)
+    with monkeypatch.context() as m:
+        m.setattr(DataContext.get_current(), "target_min_block_size", 256)
+        run(split)
+    sums = _checksums(default.engine.output_dir)
+    assert len(sums) >= 8
+    assert _checksums(split.engine.output_dir) == sums
+    assert _config_shas(default.engine.output_dir) == _config_shas(split.engine.output_dir)
+
+
+def _config_shas(out) -> set:
+    from audio_feature_extraction_ray.state.checkpoint import load_completed
+
+    return {m["config_sha"] for m in load_completed(out).values()}
+
+
+def test_resume_after_layout_change_writes_each_row_once(ray_session, four_file_dir, tmp_path):
+    """A resume whose sampled range bounds moved (range_sample_size changed)
+    reuses no partition of the old layout; the partitions of the new layout
+    hold every (url, warc_ts) exactly once. A second resume under the same
+    layout reuses all of them."""
+    from audio_feature_extraction_ray.state.checkpoint import load_completed
+
+    pages_dir, signals_path = four_file_dir
+    out = str(tmp_path / "o")
+    first = _cfg(pages_dir, signals_path, partitioner="range", out=out)
+    first.engine.range_sample_size = 300
+    rep1 = run(first)
+    (old_sha,) = _config_shas(out)
+    for pid in sorted(load_completed(out))[: rep1["partitions"] // 2]:  # a crash loses half
+        os.remove(f"{out}/_manifests/part-{pid:05d}.json")
+        shutil.rmtree(f"{out}/part={pid:05d}")
+
+    again = _cfg(pages_dir, signals_path, partitioner="range", out=out, resume=True)
+    again.engine.range_sample_size = 5000  # every row: other bounds
+    rep2 = run(again)
+    assert rep2["resumed_partitions"] == 0
+    new = {pid: m for pid, m in load_completed(out).items() if m["config_sha"] != old_sha}
+    assert len({m["config_sha"] for m in new.values()}) == 1
+    keys = pa.concat_tables(
+        pq.read_table(m["output"], columns=["url", "warc_ts"]) for m in new.values()
+    )
+    assert keys.num_rows == rep2["rows_out"] == rep1["rows_out"]
+    assert keys.group_by(["url", "warc_ts"]).aggregate([]).num_rows == keys.num_rows
+
+    rep3 = run(again)
+    assert rep3["resumed_partitions"] == len(new)
 
 
 def test_run_single_file_and_zero_row_inputs(ray_session, small_fixture_dir, tmp_path, monkeypatch):

@@ -71,7 +71,11 @@ def test_distinct_users_skewed_hot_type(ray_session, tmp_path):
     )
     d = _write_events(tmp_path, tbl)
 
-    out = distinct_users(d).to_pandas().sort_values("event_type").reset_index(drop=True)
+    ds = distinct_users(d).materialize()
+    # Arrow blocks end to end: no pandas fold in the plan
+    blocks = [ray.get(ref) for b in ds.iter_internal_ref_bundles() for ref, _ in b.blocks]
+    assert blocks and all(isinstance(b, pa.Table) for b in blocks)
+    out = ds.to_pandas().sort_values("event_type").reset_index(drop=True)
     con = duckdb.connect()
     con.execute(f"CREATE VIEW events AS SELECT * FROM '{d}/events.parquet'")
     want = con.sql(DISTINCT_USERS_SQL).df().sort_values("event_type").reset_index(drop=True)
