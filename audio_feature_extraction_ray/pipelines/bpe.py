@@ -35,8 +35,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import string_hash_strong
+from ..stages.exchange import pid_of
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 PAIR_SHIFT = np.int64(25)  # symbol ids < 2^25 (alphabet + merges)
 WORD_PARTS = 16
 PAIR_PARTS = 16
@@ -45,13 +45,6 @@ N_MERGES = 12
 
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
-
-
-def _pid_u64(keys: np.ndarray, parts: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return (((keys.view(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(parts)).astype(
-            np.int32
-        )
 
 
 def word_counts(sf_dir: str, parts: int = WORD_PARTS) -> ray.data.Dataset:
@@ -164,7 +157,7 @@ def _pair_partial(tbl: pa.Table, parts: int = PAIR_PARTS) -> pa.Table:
         {
             "pair": pa.array(uk, pa.int64()),
             "c": pa.array(sums),
-            "__pid": pa.array(_pid_u64(uk, parts)),
+            "__pid": pa.array(pid_of(uk, parts)),
         }
     )
 

@@ -6,11 +6,15 @@ sessionization, rolling windows — SURVEY §2.3/2.5/2.9), expressed over the
 driver's testdata so every operator has a DuckDB SQL oracle.
 
 Execution idiom (identical to pipelines/features.py): read_events ->
-entity-hash partition -> the one keyed exchange (stages.exchange.exchange)
--> vectorized kernel over each reduce block, sorted by (entity, time).
-Entity = user_id; a user never spans blocks, and a block holds many users,
-so the kernel runs once per block. The exchange makes one reduce block per
-read block (capped at NUM_PARTITIONS), so read_events sizes its read with
+entity-hash partition (stages.exchange.pid_of) -> the one keyed exchange
+(stages.exchange.exchange) -> vectorized kernel over each reduce block,
+sorted by (entity, time). Entity = user_id; a user never spans blocks, and
+a block holds many users, so the kernel runs once per block. Per-user folds
+take the same path with `order=()` (map-side partials, then
+`partitioned_ordered(partials, fold, order=())`), and the few steps keyed
+on something else (a (day, user) pair, a ts range) tag a `__pid` and call
+`exchange` directly; no step uses Ray's groupby().map_groups. The exchange
+makes one reduce block per read block (capped at NUM_PARTITIONS), so read_events sizes its read with
 the same rule as the pages read (stages.exchange.read_num_blocks): events
 is one file, so a table under 2 x CPUs x target_min_block_size of footer
 bytes reads as ceil(bytes / target_min_block_size) blocks. A one-block
@@ -30,8 +34,6 @@ k-row window)."""
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -39,7 +41,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..errors import SchemaError
-from ..stages.exchange import exchange, read_num_blocks
+from ..stages.exchange import GOLD, exchange, pid_of, read_num_blocks
 from ..state.kernels import (
     _seg_head,
     asof_index,
@@ -50,7 +52,6 @@ from ..state.kernels import (
 )
 
 NUM_PARTITIONS = 32
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def read_events(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
@@ -58,13 +59,6 @@ def read_events(sf_dir: str, columns: list[str] | None = None) -> ray.data.Datas
     return ray.data.read_parquet(
         path, columns=columns, override_num_blocks=read_num_blocks([path])
     )
-
-
-def _assign_pid(tbl: pa.Table, key: str, num_partitions: int) -> pa.Table:
-    k = tbl.column(key).to_numpy(zero_copy_only=False).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        pid = ((k * _GOLD) >> np.uint64(33)) % np.uint64(num_partitions)
-    return tbl.append_column("partition_id", pa.array(pid.astype(np.int32)))
 
 
 def partitioned_ordered(
@@ -79,13 +73,14 @@ def partitioned_ordered(
     exactly once, in time order, and entities in key order — the same
     ordering contract as the pages merge kernel."""
 
+    def tag(tbl: pa.Table) -> pa.Table:
+        pid = pid_of(tbl.column(key).to_numpy(zero_copy_only=False), num_partitions)
+        return tbl.append_column("partition_id", pa.array(pid))
+
     def group_fn(tbl: pa.Table) -> pa.Table:
         return kernel(tbl.drop_columns(["partition_id"]))
 
-    ds = ds.map_batches(
-        functools.partial(_assign_pid, key=key, num_partitions=num_partitions),
-        batch_format="pyarrow",
-    )
+    ds = ds.map_batches(tag, batch_format="pyarrow")
     return exchange(ds, "partition_id", group_fn, num_partitions, order=(key, *order))
 
 
@@ -783,11 +778,7 @@ def pivot_user_type(sf_dir: str, num_partitions: int = NUM_PARTITIONS) -> ray.da
         cols["n_events"] = pa.array(n, pa.int64())
         return pa.table(cols)
 
-    def tag(tbl: pa.Table) -> pa.Table:
-        return _assign_pid(tbl, "user_id", num_partitions)
-
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["partition_id"])
         uid = tbl.column("user_id").to_numpy()
         users, ucode = np.unique(uid, return_inverse=True)
         cols: dict[str, pa.Array] = {"user_id": pa.array(users, pa.int64())}
@@ -800,11 +791,11 @@ def pivot_user_type(sf_dir: str, num_partitions: int = NUM_PARTITIONS) -> ray.da
         cols["n_events"] = pa.array(acc, pa.int64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(finish, batch_format="pyarrow")
+    return partitioned_ordered(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        finish,
+        order=(),
+        num_partitions=num_partitions,
     )
 
 
@@ -937,13 +928,7 @@ def signup_window_agg(sf_dir: str, num_partitions: int = NUM_PARTITIONS) -> ray.
             }
         )
 
-    ds = ds.map_batches(
-        functools.partial(_assign_pid, key="user_id", num_partitions=num_partitions),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("partition_id").map_groups(
-        lambda g: kernel(g.drop_columns(["partition_id"])), batch_format="pyarrow"
-    )
+    return partitioned_ordered(ds, kernel, order=(), num_partitions=num_partitions)
 
 
 SIGNUP_WINDOW_AGG_SQL = f"""
@@ -2260,7 +2245,7 @@ def window_distinct(sf_dir: str):
         u = tbl.column("user_id").to_numpy(zero_copy_only=False)
         day = (ts // _DAY_US) * _DAY_US
         d2, u2 = _day_user_dedup(day, u)
-        h = (d2.astype(np.uint64) * _GOLD) ^ (u2.astype(np.uint64) * _MIX2)
+        h = (d2.astype(np.uint64) * GOLD) ^ (u2.astype(np.uint64) * _MIX2)
         pid = (h % np.uint64(WINDOW_DISTINCT_PARTS)).astype(np.int32)
         return pa.table(
             {
@@ -2282,12 +2267,9 @@ def window_distinct(sf_dir: str):
             }
         )
 
-    parts = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .to_pandas()  # bounded: <= days x WINDOW_DISTINCT_PARTS rows
-    )
+    parts = exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "__pid", finish, WINDOW_DISTINCT_PARTS
+    ).to_pandas()  # bounded: <= days x WINDOW_DISTINCT_PARTS rows
     out = parts.groupby("day", as_index=False)["n_users"].sum()
     out["day"] = out["day"].astype("datetime64[us]")
     return out.sort_values("day").reset_index(drop=True)
@@ -2656,12 +2638,9 @@ def user_rfm(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    per_user = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: fold(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .materialize()  # bounded: one row per user
-    )
+    per_user = exchange(
+        ev.map_batches(partial, batch_format="pyarrow"), "__pid", fold, NUM_PARTITIONS
+    ).materialize()  # bounded: one row per user
     mx_tbl = exchange_fold(
         per_user.map_batches(
             lambda t: pa.table(
@@ -3185,20 +3164,17 @@ def ab_srm(sf_dir: str):
         pid = (avalanche64(uid.astype(np.uint64)) % np.uint64(NUM_PARTITIONS)).astype(np.int32)
         return pa.table({"user_id": pa.array(uid, pa.int64()), "__pid": pa.array(pid)})
 
-    per_arm = (
-        ev.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: (lambda u: pa.table(
-                {
-                    "arm": pa.array([0, 1], pa.int64()),
-                    "n_users": pa.array(
-                        [int((u % 2 == 0).sum()), int((u % 2 == 1).sum())], pa.int64()
-                    ),
-                }
-            ))(np.unique(g.column("user_id").to_numpy())),
-            batch_format="pyarrow",
+    def arm_counts(tbl: pa.Table) -> pa.Table:
+        u = np.unique(tbl.column("user_id").to_numpy())
+        return pa.table(
+            {
+                "arm": pa.array([0, 1], pa.int64()),
+                "n_users": pa.array([int((u % 2 == 0).sum()), int((u % 2 == 1).sum())], pa.int64()),
+            }
         )
+
+    per_arm = exchange(
+        ev.map_batches(partial, batch_format="pyarrow"), "__pid", arm_counts, NUM_PARTITIONS
     )
     folded = exchange_fold(
         per_arm,
@@ -3874,23 +3850,14 @@ def churn_labels(sf_dir: str) -> ray.data.Dataset:
     # user table is itself large — only the end-ts scalar touched the driver
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by("user_id")
+            tbl.group_by("user_id")
             .aggregate([("last_ts_us", "max"), ("n_events", "sum")])
             .rename_columns(["user_id", "last_ts_us", "n_events"])
         )
         lab = (t.column("last_ts_us").to_numpy() < cutoff).astype(np.int64)
         return t.append_column("label_churned", pa.array(lab, pa.int64()))
 
-    def tag(tbl: pa.Table) -> pa.Table:
-        return _assign_pid(tbl, "user_id", NUM_PARTITIONS)
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return partitioned_ordered(ds.map_batches(partial, batch_format="pyarrow"), fold, order=())
 
 
 CHURN_LABELS_SQL = """
@@ -3930,8 +3897,7 @@ def user_entropy(sf_dir: str) -> ray.data.Dataset:
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["user_id", "event_type"])
+            tbl.group_by(["user_id", "event_type"])
             .aggregate([("c", "sum")])
             .rename_columns(["user_id", "event_type", "c"])
         )
@@ -3958,15 +3924,7 @@ def user_entropy(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return partitioned_ordered(ds.map_batches(partial, batch_format="pyarrow"), fold, order=())
 
 
 USER_ENTROPY_SQL = """
@@ -4151,8 +4109,7 @@ def survival_counts(sf_dir: str):
         # collapse to duration-keyed (churned, censored) counts immediately
         # so the second exchange ships counters only
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by("user_id")
+            tbl.group_by("user_id")
             .aggregate([("first_us", "min"), ("last_us", "max")])
             .rename_columns(["user_id", "first_us", "last_us"])
         )
@@ -4173,14 +4130,8 @@ def survival_counts(sf_dir: str):
             }
         )
 
-    per_user = (
-        ds.map_batches(u_partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(u_fold, batch_format="pyarrow")
+    per_user = partitioned_ordered(
+        ds.map_batches(u_partial, batch_format="pyarrow"), u_fold, order=()
     )
     folded = exchange_fold(
         per_user,
@@ -4259,8 +4210,7 @@ def activity_gini(sf_dir: str):
 
     def u_fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by("user_id")
+            tbl.group_by("user_id")
             .aggregate([("c", "sum")])
             .rename_columns(["user_id", "c"])
         )
@@ -4269,14 +4219,8 @@ def activity_gini(sf_dir: str):
             {"v": pa.array(v, pa.int64()), "m": pa.array(m.astype(np.int64), pa.int64())}
         )
 
-    per_user = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(u_fold, batch_format="pyarrow")
+    per_user = partitioned_ordered(
+        ds.map_batches(partial, batch_format="pyarrow"), u_fold, order=()
     )
     folded = exchange_fold(
         per_user,
@@ -4552,10 +4496,9 @@ def wau_daily(sf_dir: str):
     def cover_fold(tbl: pa.Table) -> pa.Table:
         # inside the user exchange: per-user distinct active days -> distinct
         # coverage days (day .. day+6), still keyed by user so the dedup is
-        # exact; emit per-day +1 partial counts for this partition
-        t = tbl.drop_columns(["partition_id"])
-        uid = t.column("user_id").to_numpy()
-        day = t.column("day").to_numpy()
+        # exact; emit per-day +1 partial counts for this block
+        uid = tbl.column("user_id").to_numpy()
+        day = tbl.column("day").to_numpy()
         pairs = np.unique(np.stack([uid, day], axis=1), axis=0)
         u = np.repeat(pairs[:, 0], WAU_WINDOW)
         d = np.repeat(pairs[:, 1], WAU_WINDOW) + np.tile(
@@ -4571,14 +4514,8 @@ def wau_daily(sf_dir: str):
             }
         )
 
-    per_part = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(cover_fold, batch_format="pyarrow")
+    per_part = partitioned_ordered(
+        ds.map_batches(partial, batch_format="pyarrow"), cover_fold, order=()
     )
     folded = exchange_fold(
         per_part,
@@ -4650,8 +4587,7 @@ def circadian_phase(sf_dir: str) -> ray.data.Dataset:
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by("user_id")
+            tbl.group_by("user_id")
             .aggregate([("n", "sum"), ("s", "sum"), ("c", "sum")])
             .rename_columns(["user_id", "n", "s", "c"])
         )
@@ -4669,15 +4605,7 @@ def circadian_phase(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return partitioned_ordered(ds.map_batches(partial, batch_format="pyarrow"), fold, order=())
 
 
 CIRCADIAN_SQL = """
@@ -4835,8 +4763,7 @@ def type_affinity(sf_dir: str):
 
     def pair_fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["user_id", "event_type"])
+            tbl.group_by(["user_id", "event_type"])
             .aggregate([])
             .rename_columns(["user_id", "event_type"])
         )
@@ -4905,17 +4832,7 @@ def type_affinity(sf_dir: str):
         return pa.concat_tables([pairs_tbl, single_tbl, users_tbl])
 
     folded = exchange_fold(
-        (
-            ds.map_batches(partial, batch_format="pyarrow")
-            .map_batches(
-                functools.partial(
-                    _assign_pid, key="user_id", num_partitions=NUM_PARTITIONS
-                ),
-                batch_format="pyarrow",
-            )
-            .groupby("partition_id")
-            .map_groups(pair_fold, batch_format="pyarrow")
-        ),
+        partitioned_ordered(ds.map_batches(partial, batch_format="pyarrow"), pair_fold, order=()),
         lambda t: (
             t.group_by(["a", "b"]).aggregate([("n", "sum")]).rename_columns(["a", "b", "n"])
         ),
@@ -5145,8 +5062,7 @@ def user_mode_type(sf_dir: str) -> ray.data.Dataset:
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["user_id", "event_type"])
+            tbl.group_by(["user_id", "event_type"])
             .aggregate([("c", "sum")])
             .rename_columns(["user_id", "event_type", "c"])
         )
@@ -5176,15 +5092,7 @@ def user_mode_type(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return partitioned_ordered(ds.map_batches(partial, batch_format="pyarrow"), fold, order=())
 
 
 USER_MODE_TYPE_SQL = """
@@ -5505,7 +5413,7 @@ def streak_features(sf_dir: str) -> ray.data.Dataset:
         return t.group_by(["user_id", "day"]).aggregate([]).combine_chunks()
 
     def fold(tbl: pa.Table) -> pa.Table:
-        t = tbl.drop_columns(["partition_id"]).group_by(["user_id", "day"]).aggregate([])
+        t = tbl.group_by(["user_id", "day"]).aggregate([])
         uid = t.column("user_id").to_numpy()
         day = t.column("day").to_numpy()
         order = np.lexsort((day, uid))
@@ -5531,15 +5439,7 @@ def streak_features(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    return partitioned_ordered(ds.map_batches(partial, batch_format="pyarrow"), fold, order=())
 
 
 STREAK_FEATURES_SQL = """
@@ -5576,26 +5476,20 @@ def top_user_share(sf_dir: str) -> pd.DataFrame:
 
     def per_user(tbl: pa.Table) -> pa.Table:
         return (
-            tbl.drop_columns(["partition_id"])
-            .group_by("user_id")
+            tbl.group_by("user_id")
             .aggregate([("c", "sum")])
             .rename_columns(["user_id", "c"])
         )
 
-    partials = (
-        read_events(sf_dir, ["user_id"])
-        .map_batches(
+    partials = partitioned_ordered(
+        read_events(sf_dir, ["user_id"]).map_batches(
             lambda t: t.group_by("user_id")
             .aggregate([([], "count_all")])
             .rename_columns(["user_id", "c"]),
             batch_format="pyarrow",
-        )
-        .map_batches(
-            functools.partial(_assign_pid, key="user_id", num_partitions=NUM_PARTITIONS),
-            batch_format="pyarrow",
-        )
-        .groupby("partition_id")
-        .map_groups(per_user, batch_format="pyarrow")
+        ),
+        per_user,
+        order=(),
     )
 
     def hist_partial(tbl: pa.Table) -> pa.Table:
@@ -6437,25 +6331,31 @@ def session_concurrency(sf_dir: str):
         )
 
     def local_scan(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.sort_by([("ts", "ascending"), ("kind", "ascending")])
+        # rows arrive sorted by (__pid, ts, kind); the running sum restarts
+        # at each __pid, and every row carries its __pid's total
         d = tbl.column("delta").to_numpy()
+        head = _seg_head(tbl.column("__pid").to_numpy())
+        seg = np.cumsum(head) - 1
         run = np.cumsum(d)
+        run -= (run - d)[head][seg]
+        tail = np.append(head[1:], True)
         return pa.table(
             {
                 "ts": tbl.column("ts"),
                 "kind": tbl.column("kind"),
                 "__pid": tbl.column("__pid"),
                 "__local_run": pa.array(run, pa.int64()),
-                "__local_tot": pa.array(np.full(d.size, run[-1] if d.size else 0), pa.int64()),
+                "__local_tot": pa.array(run[tail][seg], pa.int64()),
             }
         )
 
-    scanned = (
-        sessions.map_batches(endpoints, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(local_scan, batch_format="pyarrow")
-        .materialize()
-    )
+    scanned = exchange(
+        sessions.map_batches(endpoints, batch_format="pyarrow"),
+        "__pid",
+        local_scan,
+        CONC_PARTITIONS,
+        order=("__pid", "ts", "kind"),
+    ).materialize()
     from ray.data.aggregate import Max
 
     # bounded: <= CONC_PARTITIONS + 1 rows (one per __pid group)

@@ -70,7 +70,13 @@ import ray.data
 
 from ..config import FeatureConfig, PipelineConfig
 from ..functions.hashing import string_hash_strong
-from ..state.checkpoint import job_report, load_completed, write_partition, write_partition_stream
+from ..state.checkpoint import (
+    job_report,
+    load_completed,
+    prune_partitions,
+    write_partition,
+    write_partition_stream,
+)
 from ..state.kernels import SignalsLookup, merge_partition, merge_partition_chunks
 from ..state.partition import HashPartitioner, HostSaltPartitioner, RangePartitioner
 from ..stages.exchange import exchange, read_num_blocks
@@ -629,7 +635,8 @@ def compact_output(run_dir: str, dest_dir: str, target_rows_per_file: int = 250_
 def run(cfg: PipelineConfig) -> dict:
     """Checkpointed run: per-partition parquet + manifests under
     cfg.engine.output_dir; returns the reduced job report. With resume=True,
-    completed partitions are skipped before the shuffle."""
+    completed partitions are skipped before the shuffle; every partition the
+    run does not reuse is deleted first."""
     if not cfg.engine.output_dir:
         raise ValueError("run() requires engine.output_dir")
     copart = _use_copartition(cfg)
@@ -647,6 +654,9 @@ def run(cfg: PipelineConfig) -> dict:
     # resume safety: only reuse partitions produced under IDENTICAL semantics
     # (input + feature config + partition layout); anything else recomputes
     done = {pid: m for pid, m in done.items() if m.get("config_sha") == fp}
+    # what is not reused goes, so load_completed / compact_output /
+    # export_features_npy never read partitions of an earlier layout
+    prune_partitions(cfg.engine.output_dir, done)
     if done:
         done_ids = np.array(sorted(done), dtype=np.int32)
 

@@ -17,6 +17,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
+from ..stages.exchange import pid_of
+
 
 def _read(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
     return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
@@ -24,9 +26,6 @@ def _read(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
 
 def _cents(col) -> np.ndarray:
     return np.round(np.asarray(col, dtype=np.float64) * 100).astype(np.int64)
-
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)  # fibonacci-hash multiplier for int keys
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +557,13 @@ WHERE NOT EXISTS (
 
 
 def orders_percent_rank(sf_dir: str, num_partitions: int = 32) -> ray.data.Dataset:
-    from ..stages.window import _pid_for_key, _seg_starts
+    from ..stages.window import _key_u64, _seg_starts
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def tag(tbl: pa.Table) -> pa.Table:
         return tbl.append_column(
-            "__pid", pa.array(_pid_for_key(tbl.column("o_custkey"), num_partitions))
+            "__pid", pa.array(pid_of(_key_u64(tbl.column("o_custkey")), num_partitions))
         )
 
     def kernel(tbl: pa.Table) -> pa.Table:
@@ -916,15 +915,11 @@ def q10_returned_items(sf_dir: str, num_partitions: int = 32):
         uniq, codes = np.unique(cu, return_inverse=True)
         sums = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(sums, codes, rev)
-        with np.errstate(over="ignore"):
-            pid = ((uniq.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(
-                num_partitions
-            )
         return pa.table(
             {
                 "c_custkey": pa.array(uniq, pa.int64()),
                 "rev4": pa.array(sums, pa.int64()),
-                "__pid": pa.array(pid.astype(np.int32)),
+                "__pid": pa.array(pid_of(uniq, num_partitions)),
             }
         )
 
@@ -1154,13 +1149,13 @@ NTILE_K = 4
 
 
 def orders_ntile(sf_dir: str, num_partitions: int = 32) -> ray.data.Dataset:
-    from ..stages.window import _pid_for_key, _seg_starts
+    from ..stages.window import _key_u64, _seg_starts
 
     ds = _read(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
 
     def tag(tbl: pa.Table) -> pa.Table:
         return tbl.append_column(
-            "__pid", pa.array(_pid_for_key(tbl.column("o_custkey"), num_partitions))
+            "__pid", pa.array(pid_of(_key_u64(tbl.column("o_custkey")), num_partitions))
         )
 
     def kernel(tbl: pa.Table) -> pa.Table:
@@ -1360,13 +1355,9 @@ def q4_order_priority(sf_dir: str, num_partitions: int = 32):
             }
         )
 
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
     def li_route(tbl: pa.Table) -> pa.Table:
-        k = tbl.column("lk").to_numpy().astype(np.uint64)
-        with np.errstate(over="ignore"):
-            pid = ((k * _GOLD) >> np.uint64(33)) % np.uint64(num_partitions)
-        return tbl.append_column("__pid", pa.array(pid.astype(np.int32)))
+        pid = pid_of(tbl.column("lk").to_numpy(), num_partitions)
+        return tbl.append_column("__pid", pa.array(pid))
 
     def li_fold(tbl: pa.Table) -> pa.Table:
         # global per-orderkey max: the batch combiner is per-block only, and
@@ -3551,10 +3542,8 @@ ORDER BY n_ab DESC, p_a, p_b
 
 def orders_gap_stats(sf_dir: str, num_partitions: int = 32) -> ray.data.Dataset:
     def tag(tbl: pa.Table) -> pa.Table:
-        k = tbl.column("o_custkey").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            pid = ((k * _GOLD) >> np.uint64(33)) % np.uint64(num_partitions)
-        return tbl.append_column("partition_id", pa.array(pid.astype(np.int32)))
+        pid = pid_of(tbl.column("o_custkey").to_numpy(zero_copy_only=False), num_partitions)
+        return tbl.append_column("partition_id", pa.array(pid))
 
     def fold(tbl: pa.Table) -> pa.Table:
         tbl = tbl.drop_columns(["partition_id"])
@@ -3661,12 +3650,8 @@ def orders_monthly_volume(sf_dir: str, num_partitions: int = 32) -> ray.data.Dat
         )
 
     def tag(tbl: pa.Table) -> pa.Table:
-        ym = (
-            tbl.column("y").to_numpy() * 12 + tbl.column("m").to_numpy()
-        ).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            pid = ((ym * _GOLD) >> np.uint64(33)) % np.uint64(num_partitions)
-        return tbl.append_column("partition_id", pa.array(pid.astype(np.int32)))
+        ym = tbl.column("y").to_numpy() * 12 + tbl.column("m").to_numpy()
+        return tbl.append_column("partition_id", pa.array(pid_of(ym, num_partitions)))
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (

@@ -10,6 +10,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..stages import ann, dedup
+from ..stages.exchange import pid_of
 
 N_QUERIES = 8
 TOP_K = 5
@@ -855,7 +856,7 @@ def embedding_lsh_pairs(
                 "vec": pa.FixedSizeListArray.from_arrays(
                     pa.array(vec32.ravel(), pa.float32()), m.shape[1]
                 ),
-                "__pid": pa.array(dedup._pid_of_u64(out_band.view(np.uint64), num_partitions)),
+                "__pid": pa.array(pid_of(out_band.view(np.uint64), num_partitions)),
             }
         )
 
@@ -895,7 +896,7 @@ def embedding_lsh_pairs(
     def tag_by_a(tbl: pa.Table) -> pa.Table:
         a = tbl.column("a").to_numpy()
         return tbl.append_column(
-            "__pid", pa.array(dedup._pid_of_u64(a.view(np.uint64), num_partitions))
+            "__pid", pa.array(pid_of(a.view(np.uint64), num_partitions))
         )
 
     def distinct_kernel(tbl: pa.Table) -> pa.Table:

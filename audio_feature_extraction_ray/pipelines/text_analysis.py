@@ -23,6 +23,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.text import _LANG_ORDER, _STOPWORDS
+from ..stages.exchange import pid_of
 
 
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
@@ -5970,10 +5971,8 @@ def docs_hapax_ratio(sf_dir: str) -> ray.data.Dataset:
         )
 
     def tag_doc(tbl: pa.Table) -> pa.Table:
-        did = tbl.column("doc_id").to_numpy(zero_copy_only=False).astype(np.uint64)
-        with np.errstate(over="ignore"):
-            pid = ((did * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)) % np.uint64(32)
-        return tbl.append_column("partition_id", pa.array(pid.astype(np.int32)))
+        pid = pid_of(tbl.column("doc_id").to_numpy(zero_copy_only=False), 32)
+        return tbl.append_column("partition_id", pa.array(pid))
 
     docs = _read_docs(sf_dir, ["doc_id", "text"])
     hapax = (

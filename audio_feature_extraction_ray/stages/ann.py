@@ -21,6 +21,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from .exchange import pid_of
+
 logger = logging.getLogger(__name__)
 
 
@@ -226,13 +228,9 @@ def ivf_knn_join(
     )
 
     P = num_partitions or max(8, n_clusters)
-    _GOLD = np.uint64(0x9E3779B97F4A7C15)
-
     def tag_by_query(tbl: pa.Table) -> pa.Table:
-        qid = tbl.column("query_id").to_numpy()
-        with np.errstate(over="ignore"):
-            pid = ((qid.view(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(P)
-        return tbl.append_column("__pid", pa.array(pid.astype(np.int32)))
+        pid = pid_of(tbl.column("query_id").to_numpy(), P)
+        return tbl.append_column("__pid", pa.array(pid))
 
     out_schema = pa.schema(
         [

@@ -39,11 +39,10 @@ import ray.data
 
 from ..functions.hashing import minhash_signatures_batch
 from ..state.kernels import _neq_prev_mask, _token_hash_set, _token_hashes64_batch
+from .exchange import pid_of
 from .text_stage import _scratch
 
 logger = logging.getLogger(__name__)
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
 
 NUM_PERM = 64
 BANDS = 16  # 16 bands x 4 rows: catches jaccard >~ 0.5 candidates reliably
@@ -52,13 +51,6 @@ BANDS = 16  # 16 bands x 4 rows: catches jaccard >~ 0.5 candidates reliably
 # per node x nodes at scale), NOT data-sized: each partition is processed by
 # one vectorized kernel call regardless of how many distinct keys it holds.
 NUM_DEDUP_PARTITIONS = 32
-
-
-def _pid_of_u64(keys: np.ndarray, num_partitions: int) -> np.ndarray:
-    """int32 partition id from a uint64 key array (golden-ratio mix)."""
-    with np.errstate(over="ignore"):
-        pid = ((keys.astype(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(num_partitions)
-    return pid.astype(np.int32)
 
 
 # byte -> 8 bits (LSB first), so LUT[b, j] == (b >> j) & 1; row-major over the
@@ -362,7 +354,7 @@ def _band_rows(tbl: pa.Table, id_col: str, num_partitions: int) -> pa.Table:
         )
     bh_u64 = (mix >> np.uint64(9)) | (np.arange(BANDS, dtype=np.uint64) << np.uint64(55))
     band_hashes = bh_u64.astype(np.int64, casting="unsafe").ravel()
-    pid = _pid_of_u64(bh_u64.ravel(), num_partitions)
+    pid = pid_of(bh_u64.ravel(), num_partitions)
     return pa.table(
         {id_col: pa.array(out_ids), "band_hash": pa.array(band_hashes), "__pid": pa.array(pid)}
     )
@@ -466,7 +458,7 @@ def _attach_sig(
         ids = tbl.column(id_col).to_numpy()
         n = tbl.num_rows
         cols = {
-            "__pid": pa.array(_pid_of_u64(ids.view(np.uint64), num_partitions)),
+            "__pid": pa.array(pid_of(ids.view(np.uint64), num_partitions)),
             "__side": pa.array(np.zeros(n, dtype=np.int8)),
             "__key": tbl.column(id_col).cast(pa.int64()),
             other_col: pa.nulls(n, pa.int64()),
@@ -480,7 +472,7 @@ def _attach_sig(
         keys = tbl.column(key_col).to_numpy()
         n = tbl.num_rows
         cols = {
-            "__pid": pa.array(_pid_of_u64(keys.view(np.uint64), num_partitions)),
+            "__pid": pa.array(pid_of(keys.view(np.uint64), num_partitions)),
             "__side": pa.array(np.ones(n, dtype=np.int8)),
             "__key": tbl.column(key_col).cast(pa.int64()),
             other_col: tbl.column(other_col).cast(pa.int64()),
@@ -628,7 +620,7 @@ def minhash_lsh_pairs(
         def tag_by_a(tbl: pa.Table) -> pa.Table:
             a = tbl.column("a").to_numpy()
             return tbl.append_column(
-                "__pid", pa.array(_pid_of_u64(a.view(np.uint64), num_partitions))
+                "__pid", pa.array(pid_of(a.view(np.uint64), num_partitions))
             )
 
         def distinct_kernel(tbl: pa.Table) -> pa.Table:
@@ -771,7 +763,7 @@ def hamming_pairs(
                 id_col: pa.array(out_id),
                 "band": pa.array(out_band),
                 "simhash": pa.array(np.repeat(sh, 4).view(np.int64)),
-                "__pid": pa.array(_pid_of_u64(out_band.view(np.uint64), num_partitions)),
+                "__pid": pa.array(pid_of(out_band.view(np.uint64), num_partitions)),
             }
         )
 
@@ -809,7 +801,7 @@ def hamming_pairs(
 
     def tag_by_a(tbl: pa.Table) -> pa.Table:
         a = tbl.column("a").to_numpy()
-        return tbl.append_column("__pid", pa.array(_pid_of_u64(a.view(np.uint64), num_partitions)))
+        return tbl.append_column("__pid", pa.array(pid_of(a.view(np.uint64), num_partitions)))
 
     def distinct_kernel(tbl: pa.Table) -> pa.Table:
         # every copy of (a, b) shares a, hence this partition: global distinct
@@ -1009,9 +1001,6 @@ def jaccard_join(
 
     t_num, t_den = JJ_T_NUM, JJ_T_DEN
 
-    def tok_pid(tok: np.ndarray) -> np.ndarray:
-        return ((tok * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)).astype(np.int64) % num_partitions
-
     # --- stage A: distinct (token, doc, ntok) rows, routed by token
     def tok_rows(tbl: pa.Table) -> pa.Table:
         hs, offs = _token_hashes64_batch(tbl.column(text_col))
@@ -1023,7 +1012,7 @@ def jaccard_join(
                 "tok": pa.array(hs, pa.uint64()),
                 "doc_id": pa.array(did[row_rep], pa.int64()),
                 "ntok": pa.array(ntok[row_rep], pa.int64()),
-                "__pid": pa.array(tok_pid(hs).astype(np.int32)),
+                "__pid": pa.array(pid_of(hs, num_partitions)),
             }
         )
 
@@ -1073,7 +1062,7 @@ def jaccard_join(
                 "tok": pa.array(t_k, pa.uint64()),
                 "doc_id": pa.array(d_k, pa.int64()),
                 "ntok": pa.array(n_k, pa.int64()),
-                "__pid3": pa.array(tok_pid(t_k).astype(np.int32)),
+                "__pid3": pa.array(pid_of(t_k, num_partitions)),
             }
         )
 
@@ -1265,9 +1254,6 @@ def containment_join(
 ) -> ray.data.Dataset:
     t_num, t_den = CT_T_NUM, CT_T_DEN
 
-    def tok_pid(tok: np.ndarray) -> np.ndarray:
-        return ((tok * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)).astype(np.int64) % num_partitions
-
     # --- stage A: distinct (token, doc, ntok) rows, routed by token
     def tok_rows(tbl: pa.Table) -> pa.Table:
         hs, offs = _token_hashes64_batch(tbl.column(text_col))
@@ -1279,7 +1265,7 @@ def containment_join(
                 "tok": pa.array(hs, pa.uint64()),
                 "doc_id": pa.array(did[row_rep], pa.int64()),
                 "ntok": pa.array(ntok[row_rep], pa.int64()),
-                "__pid": pa.array(tok_pid(hs).astype(np.int32)),
+                "__pid": pa.array(pid_of(hs, num_partitions)),
             }
         )
 
@@ -1336,7 +1322,7 @@ def containment_join(
                 "doc_id": pa.array(d_all, pa.int64()),
                 "ntok": pa.array(n_all, pa.int64()),
                 "side": pa.array(side),
-                "__pid3": pa.array(tok_pid(t_all).astype(np.int32)),
+                "__pid3": pa.array(pid_of(t_all, num_partitions)),
             }
         )
 

@@ -17,6 +17,12 @@ samples the data:
 A wrong prediction costs speed only. A block holds many keys, so `fn` is a
 block kernel: one call per reduce block rather than one per key value.
 
+`pid_of(keys, parts)` is the one partition hash of the package: the
+golden-ratio (Fibonacci) mix of a 64-bit key, `((key * GOLD) >> 33) % parts`.
+The events, relational, text, dedup, join, graph, bpe and ann operators tag
+their rows with it, so an integer key maps to the same partition id in
+every operator.
+
 The read in front of the exchange fixes R. `read_num_blocks(files)` picks
 the read's block count without reading any data: from the cluster CPUs and
 the parquet footers. Ray 2.49 sizes a read it is left to size as
@@ -53,6 +59,17 @@ import ray
 from ray.data import DataContext, Dataset
 from ray.data._internal.logical.operators.n_ary_operator import Union
 from ray.data._internal.logical.operators.read_operator import Read
+
+GOLD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def pid_of(keys, parts: int) -> np.ndarray:
+    """int32 partition id in [0, parts) of each 64-bit key. Signed keys mix
+    by their two's-complement bits; string keys hash to uint64 first
+    (functions.hashing.hash64_str_array)."""
+    with np.errstate(over="ignore"):
+        pid = ((np.asarray(keys).astype(np.uint64) * GOLD) >> np.uint64(33)) % np.uint64(parts)
+    return pid.astype(np.int32)
 
 
 def _footer_bytes(files: list[str]) -> int | None:

@@ -31,21 +31,13 @@ import pyarrow as pa
 import ray
 import ray.data
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
+from .exchange import pid_of
 
 
 @ray.remote(num_cpus=1)
 def _concat_blocks(*tbls: pa.Table) -> pa.Table:
     kept = [t for t in tbls if t.num_rows]
     return pa.concat_tables(kept) if kept else tbls[0]
-
-
-def _pid_i64(keys: np.ndarray, num_partitions: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        pid = ((keys.astype(np.int64).view(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(
-            num_partitions
-        )
-    return pid.astype(np.int32)
 
 
 def _group_min(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
@@ -64,7 +56,7 @@ def _group_min(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
             {
                 "node": pa.array(ns[starts], pa.int64()),
                 "label": pa.array(ls[starts], pa.int64()),  # sorted: first == min
-                "__pid": pa.array(_pid_i64(ns[starts], num_partitions)),
+                "__pid": pa.array(pid_of(ns[starts], num_partitions)),
             }
         )
 
@@ -276,7 +268,7 @@ def _pagerank_edges(edges, a_col, b_col, num_partitions):
         b = tbl.column(b_col).cast(pa.int64()).combine_chunks()
         src = pa.concat_arrays([a, b])
         dst = pa.concat_arrays([b, a])
-        pid = _pid_i64(src.to_numpy(), num_partitions)
+        pid = pid_of(src.to_numpy(), num_partitions)
         return pa.table({"src": src, "dst": dst, "__pid": pa.array(pid)})
 
     def attach_deg(tbl: pa.Table) -> pa.Table:
@@ -424,7 +416,7 @@ def pagerank(
                         pa.int64(),
                     ),
                     "__pid": pa.array(
-                        _pid_i64(t.column("dst").to_numpy(), num_partitions)
+                        pid_of(t.column("dst").to_numpy(), num_partitions)
                     ),
                 }
             ),
@@ -477,7 +469,7 @@ def triangle_count(
             {
                 "lo": pa.array(lo, pa.int64()),
                 "hi": pa.array(hi, pa.int64()),
-                "__pid": pa.array(_pid_i64(key, num_partitions)),
+                "__pid": pa.array(pid_of(key, num_partitions)),
             }
         )
 
@@ -517,7 +509,7 @@ def triangle_count(
             {
                 "node": pa.array(uniq, pa.int64()),
                 "deg_partial": pa.array(cnt.astype(np.int64), pa.int64()),
-                "__pid": pa.array(_pid_i64(uniq, num_partitions)),
+                "__pid": pa.array(pid_of(uniq, num_partitions)),
             }
         )
 
@@ -547,7 +539,7 @@ def triangle_count(
             k = tbl.column(key_col).to_numpy()
             cols = {c: tbl.column(c) for c in tbl.column_names}
             cols["__side"] = pa.array(np.zeros(tbl.num_rows, np.int8))
-            cols["__pid"] = pa.array(_pid_i64(k, num_partitions))
+            cols["__pid"] = pa.array(pid_of(k, num_partitions))
             return pa.table(cols)
 
         def tag_deg(tbl: pa.Table) -> pa.Table:
@@ -558,7 +550,7 @@ def triangle_count(
             for c in edge_extra:
                 out[c] = pa.array(np.zeros(n, np.int64), pa.int64())
             out["__side"] = pa.array(np.ones(n, np.int8))
-            out["__pid"] = pa.array(_pid_i64(k, num_partitions))
+            out["__pid"] = pa.array(pid_of(k, num_partitions))
             return pa.table(out)
 
         def merge(tbl: pa.Table) -> pa.Table:
@@ -616,7 +608,7 @@ def triangle_count(
             {
                 "src": pa.array(src, pa.int64()),
                 "dst": pa.array(dst, pa.int64()),
-                "__pid": pa.array(_pid_i64(src, num_partitions)),
+                "__pid": pa.array(pid_of(src, num_partitions)),
             }
         )
 
@@ -633,7 +625,7 @@ def triangle_count(
             {
                 "key": tbl.column("key"),
                 "cnt": tbl.column("cnt"),
-                "__pid": pa.array(_pid_i64(k, num_partitions)),
+                "__pid": pa.array(pid_of(k, num_partitions)),
             }
         )
 
@@ -645,7 +637,7 @@ def triangle_count(
             {
                 "key": pa.array(key, pa.int64()),
                 "cnt": pa.array(np.full(key.size, -1, np.int64)),  # -1 marks edge side
-                "__pid": pa.array(_pid_i64(key, num_partitions)),
+                "__pid": pa.array(pid_of(key, num_partitions)),
             }
         )
 
@@ -696,7 +688,7 @@ def _group_count(ds: ray.data.Dataset, col: str, num_partitions: int) -> ray.dat
             {
                 "node": pa.array(uniq, pa.int64()),
                 "degree": pa.array(cnt.astype(np.int64), pa.int64()),
-                "__pid": pa.array(_pid_i64(uniq, num_partitions)),
+                "__pid": pa.array(pid_of(uniq, num_partitions)),
             }
         )
 

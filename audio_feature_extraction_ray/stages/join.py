@@ -29,17 +29,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import avalanche64, string_hash_strong
-
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _pid_of_i64(keys: np.ndarray, num_partitions: int) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        pid = ((keys.astype(np.int64).view(np.uint64) * _GOLD) >> np.uint64(33)) % np.uint64(
-            num_partitions
-        )
-    return pid.astype(np.int32)
-
+from .exchange import pid_of
 
 def _is_string(dt: pa.DataType) -> bool:
     return pa.types.is_string(dt) or pa.types.is_large_string(dt)
@@ -48,7 +38,7 @@ def _is_string(dt: pa.DataType) -> bool:
 def _key_pids(col: pa.Array, key_type: pa.DataType, num_partitions: int) -> np.ndarray:
     if _is_string(key_type):
         return (string_hash_strong(col) % np.uint64(num_partitions)).astype(np.int32)
-    return _pid_of_i64(col.to_numpy(), num_partitions)
+    return pid_of(col.to_numpy(), num_partitions)
 
 
 def gather_small_side(ds: ray.data.Dataset) -> pa.Table:
@@ -272,7 +262,7 @@ def copartitioned_semi_anti(
 
     def tag_left(tbl: pa.Table) -> pa.Table:
         keys = tbl.column(left_key).cast(pa.int64()).to_numpy()
-        out = {"__pid": pa.array(_pid_of_i64(keys, num_partitions)),
+        out = {"__pid": pa.array(pid_of(keys, num_partitions)),
                "__side": pa.array(np.zeros(tbl.num_rows, dtype=np.int8))}
         for c in lcols:
             out[c] = tbl.column(c)
@@ -281,7 +271,7 @@ def copartitioned_semi_anti(
     def tag_right(tbl: pa.Table) -> pa.Table:
         # distinct keys only — the whole point of a semi join's probe side
         keys = np.unique(tbl.column(right_key).cast(pa.int64()).to_numpy())
-        out = {"__pid": pa.array(_pid_of_i64(keys, num_partitions)),
+        out = {"__pid": pa.array(pid_of(keys, num_partitions)),
                "__side": pa.array(np.ones(keys.size, dtype=np.int8))}
         for c in lcols:
             out[c] = (

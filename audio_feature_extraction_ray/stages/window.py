@@ -28,19 +28,13 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.hashing import hash64_str_array
+from .exchange import pid_of
 
-_GOLD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _pid_for_key(col: pa.ChunkedArray, num_partitions: int) -> np.ndarray:
-    """Stable partition id for an int or string key column."""
+def _key_u64(col: pa.ChunkedArray) -> np.ndarray:
+    """The 64-bit hash input of an int or string key column."""
     if pa.types.is_integer(col.type):
-        k = col.to_numpy(zero_copy_only=False).astype(np.int64).view(np.uint64)
-    else:
-        k = hash64_str_array(col.to_numpy(zero_copy_only=False))
-    with np.errstate(over="ignore"):
-        pid = ((k * _GOLD) >> np.uint64(33)) % np.uint64(num_partitions)
-    return pid.astype(np.int32)
+        return col.to_numpy(zero_copy_only=False).astype(np.int64)
+    return hash64_str_array(col.to_numpy(zero_copy_only=False))
 
 
 def _seg_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -105,7 +99,8 @@ def grouped_topk(
 
     def combine(tbl: pa.Table) -> pa.Table:
         out = _topk_kernel(tbl, key, order_col, tiebreak, k, descending, with_rank=False)
-        return out.append_column("__pid", pa.array(_pid_for_key(out.column(key), num_partitions)))
+        pid = pid_of(_key_u64(out.column(key)), num_partitions)
+        return out.append_column("__pid", pa.array(pid))
 
     def finish(tbl: pa.Table) -> pa.Table:
         return _topk_kernel(
@@ -140,7 +135,7 @@ def grouped_quantiles(
     def tag(tbl: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "__pid": pa.array(_pid_for_key(tbl.column(key), num_partitions)),
+                "__pid": pa.array(pid_of(_key_u64(tbl.column(key)), num_partitions)),
                 key: tbl.column(key),
                 value_col: tbl.column(value_col),
             }
@@ -244,7 +239,7 @@ def grouped_quantile_sketch(
     # route whole keys to partitions so each key's sketch merges exactly once
     def tag(tbl: pa.Table) -> pa.Table:
         return tbl.append_column(
-            "__pid", pa.array(_pid_for_key(tbl.column(key), 32))
+            "__pid", pa.array(pid_of(_key_u64(tbl.column(key)), 32))
         )
 
     return (

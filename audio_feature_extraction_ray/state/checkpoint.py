@@ -9,7 +9,9 @@ Layout (resumable output, SURVEY §4.2):
       _manifests/part-00042.json   # written AFTER the data rename (atomic)
 
 A partition is "completed" iff its manifest exists and parses; a rerun with
-resume=True skips completed partitions without recomputing them. Kernels are
+resume=True skips completed partitions without recomputing them, and every
+run first prunes the partitions it does not reuse (`prune_partitions`), so
+out_dir never mixes two partition layouts. Kernels are
 deterministic, so a retried/resumed partition emits byte-identical output —
 the checksum in the manifest makes silent divergence detectable.
 """
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 import uuid
 from pathlib import Path
@@ -173,6 +176,21 @@ def load_completed(out_dir: str | Path) -> dict[int, dict]:
         except (ValueError, KeyError):
             continue  # torn manifest -> treat as incomplete
     return done
+
+
+def prune_partitions(out_dir: str | Path, keep) -> None:
+    """Delete every manifest and part=NNNNN/ directory under out_dir whose
+    partition id is not in `keep`, manifests first (a crash in between
+    leaves data without a manifest: an incomplete partition). What is left
+    is one partition layout, the one `keep` belongs to."""
+    out = Path(out_dir)
+    names = {f"{int(pid):05d}" for pid in keep}
+    for m in out.glob(f"{MANIFEST_DIR}/part-*.json"):
+        if m.stem.removeprefix("part-") not in names:
+            m.unlink()
+    for d in out.glob("part=*"):
+        if d.name.removeprefix("part=") not in names:
+            shutil.rmtree(d)
 
 
 def job_report(manifests: list[dict], slow_threshold: float = 0.5) -> dict:

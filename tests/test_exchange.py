@@ -1,9 +1,9 @@
 """The keyed exchange and the read layout in front of it
 (stages/exchange.py): the three-branch block-count rule, the plan it gives
 read_events, layout parity of the events as-of/window family against its
-DuckDB oracles, and exchange() against Ray's groupby().map_groups()."""
+DuckDB oracles, exchange() against Ray's groupby().map_groups(), and the
+one partition hash pid_of()."""
 
-import functools
 import hashlib
 
 import numpy as np
@@ -13,9 +13,14 @@ import pyarrow.parquet as pq
 import pytest
 from ray.data import DataContext
 
-from audio_feature_extraction_ray.pipelines.events import _assign_pid, read_events
-from audio_feature_extraction_ray.stages import exchange
-from audio_feature_extraction_ray.stages.exchange import predicted_num_blocks, read_num_blocks
+from audio_feature_extraction_ray.functions.hashing import hash64_str_array
+from audio_feature_extraction_ray.pipelines.events import read_events
+from audio_feature_extraction_ray.stages import exchange, window
+from audio_feature_extraction_ray.stages.exchange import (
+    pid_of,
+    predicted_num_blocks,
+    read_num_blocks,
+)
 
 CPUS = 4  # the session CPU count the rule is tested against
 
@@ -174,7 +179,11 @@ PARTS = 8
 
 def _tagged(sf: str, pid_parts: int = PARTS):
     """Events rows tagged with a partition_id in [0, pid_parts)."""
-    tag = functools.partial(_assign_pid, key="user_id", num_partitions=pid_parts)
+
+    def tag(tbl: pa.Table) -> pa.Table:
+        pid = pid_of(tbl.column("user_id").to_numpy(), pid_parts)
+        return tbl.append_column("partition_id", pa.array(pid))
+
     return read_events(sf, ["event_id", "user_id", "value"]).map_batches(tag, batch_format="pyarrow")
 
 
@@ -311,3 +320,40 @@ def test_exchange_unknown_prediction_samples_like_map_groups(ray_session, tmp_pa
     out = exchange.exchange(ds, "partition_id", _kernels()[0], PARTS)
     assert _canon_hash(out.to_pandas())[2] == 3000
     assert sampled
+
+
+# ---------------------------------------------------------------------------
+# pid_of(): the one partition hash. Every hash-partitioned layout depends on
+# its exact bits, so it is pinned against the formula written out here.
+
+
+def _golden_pid(key: int, parts: int) -> int:
+    """((key mod 2^64) * 0x9E3779B97F4A7C15 mod 2^64) >> 33, mod parts."""
+    return ((key % 2**64) * 0x9E3779B97F4A7C15 % 2**64 >> 33) % parts
+
+
+@pytest.mark.parametrize("parts", [1, 7, 32])
+def test_pid_of_is_the_golden_ratio_formula(parts):
+    rng = np.random.default_rng(11)
+    i64, u64 = np.iinfo(np.int64), np.iinfo(np.uint64)
+    keys = {
+        "int64": np.r_[rng.integers(i64.min, i64.max, size=200, dtype=np.int64), 0, -1, i64.min],
+        "uint64": np.r_[rng.integers(2**63, u64.max, size=200, dtype=np.uint64), u64.max],
+        "int32": np.r_[rng.integers(-(2**31), 2**31 - 1, size=200, dtype=np.int32), np.int32(-1)],
+    }
+    for name, k in keys.items():
+        got = pid_of(k, parts)
+        assert got.dtype == np.int32, name
+        assert got.tolist() == [_golden_pid(int(v), parts) for v in k], name
+
+
+def test_window_string_keys_route_through_pid_of():
+    """stages.window hashes a string key with hash64_str_array, then takes
+    pid_of; an integer key takes pid_of of its int64 value."""
+    words = np.array(["alpha", "beta", "", "gamma", "ünï"], dtype=object)
+    col = pa.chunked_array([pa.array(words.tolist())])
+    h = hash64_str_array(words)
+    assert pid_of(window._key_u64(col), 32).tolist() == [_golden_pid(int(v), 32) for v in h]
+    ints = [-5, 0, 7, 2**31 - 1]
+    col = pa.chunked_array([pa.array(ints, pa.int32())])
+    assert pid_of(window._key_u64(col), 7).tolist() == [_golden_pid(v, 7) for v in ints]

@@ -550,6 +550,30 @@ def test_resume_after_layout_change_writes_each_row_once(ray_session, four_file_
     assert rep3["resumed_partitions"] == len(new)
 
 
+def test_resume_with_fewer_partitions_leaves_one_layout(ray_session, small_fixture_dir, tmp_path):
+    """A resume under another partition count reuses nothing and deletes
+    the earlier layout's partitions: the manifests and the compacted output
+    hold each row once."""
+    from audio_feature_extraction_ray.pipelines.features import compact_output
+    from audio_feature_extraction_ray.state.checkpoint import load_completed
+
+    pages_dir, signals_path = small_fixture_dir
+    out = str(tmp_path / "o")
+    wide = _cfg(pages_dir, signals_path, out=out)
+    wide.engine.num_partitions = 16
+    rep16 = run(wide)
+    assert len(load_completed(out)) == 16
+
+    rep8 = run(_cfg(pages_dir, signals_path, out=out, resume=True))
+    assert rep8["resumed_partitions"] == 0
+    assert rep8["rows_out"] == rep16["rows_out"]
+    done = load_completed(out)
+    assert sorted(done) == list(range(8))
+    assert sorted(glob.glob(f"{out}/part=*")) == [f"{out}/part={pid:05d}" for pid in range(8)]
+    assert sum(m["rows_out"] for m in done.values()) == rep8["rows_out"]
+    assert compact_output(out, str(tmp_path / "compact"))["rows"] == rep8["rows_out"]
+
+
 def test_run_single_file_and_zero_row_inputs(ray_session, small_fixture_dir, tmp_path, monkeypatch):
     """Fewer files than CPUs: a small file reads as the blocks its footer
     bytes fill (one here), and a file past 2 x CPUs x target_min_block_size

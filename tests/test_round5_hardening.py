@@ -28,12 +28,21 @@ def test_exchange_fold_global_sum(ray_session):
     assert int(out.column("v")[0].as_py()) == int(np.arange(1000).sum())
 
 
-def test_exchange_fold_keyed(ray_session):
+def test_exchange_fold_keyed(ray_session, monkeypatch):
     """Keyed fold with pid_of: equal keys co-locate, output has one final row
-    per key; driver-side concat is a no-op re-fold."""
+    per key; driver-side concat is a no-op re-fold. The 23-block input goes
+    through the keyed exchange on fixed boundaries: Ray's sort boundary
+    sampling (which groupby().map_groups runs) must not be called."""
     import ray.data
+    from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
 
     from audio_feature_extraction_ray.functions.hashing import avalanche64
+    from audio_feature_extraction_ray.stages.exchange import predicted_num_blocks
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("exchange_fold sampled sort boundaries")
+
+    monkeypatch.setattr(SortTaskSpec, "sample_boundaries", staticmethod(no_sampling))
 
     n = 500
     keys = np.arange(n, dtype=np.int64) % 7
@@ -45,6 +54,7 @@ def test_exchange_fold_keyed(ray_session):
             }
         )
     ).repartition(23)
+    assert predicted_num_blocks(partials) == 23
 
     def fold(tbl: pa.Table) -> pa.Table:
         return tbl.group_by(["k"]).aggregate([("c", "sum")]).rename_columns(["k", "c"])
@@ -151,6 +161,33 @@ def test_no_per_block_take_all_outside_helper():
                 ):
                     bad.append(f"{rel}:{i}: {line.strip()}")
     assert not bad, "unreviewed take_all() partial folds:\n" + "\n".join(bad)
+
+
+def test_one_keyed_exchange_and_one_partition_hash():
+    """grep-clean contract: events.py and fold.py route every keyed shuffle
+    through stages.exchange.exchange (no Ray groupby().map_groups), and the
+    golden-ratio partition hash `>> np.uint64(33)` is written out only in
+    stages.exchange.pid_of."""
+    import ast
+    import re
+    from pathlib import Path
+
+    pkg = Path(__file__).resolve().parents[1] / "audio_feature_extraction_ray"
+    bad = []
+    for rel in ("pipelines/events.py", "stages/fold.py"):
+        for i, line in enumerate((pkg / rel).read_text().splitlines(), 1):
+            if ".map_groups(" in line:
+                bad.append(f"{rel}:{i}: {line.strip()}")
+    tree = ast.parse((pkg / "stages/exchange.py").read_text())
+    (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "pid_of"]
+    pid_lines = range(fn.lineno, fn.end_lineno + 1)
+    formula = re.compile(r">>\s*np\.uint64\(\s*33\s*\)")
+    for f in sorted(pkg.rglob("*.py")):
+        rel = f.relative_to(pkg).as_posix()
+        for i, line in enumerate(f.read_text().splitlines(), 1):
+            if formula.search(line) and not (rel == "stages/exchange.py" and i in pid_lines):
+                bad.append(f"{rel}:{i}: {line.strip()}")
+    assert not bad, "keyed shuffle or pid hash outside stages.exchange:\n" + "\n".join(bad)
 
 
 def test_semdedup_oversized_cluster_split(ray_session, tmp_path):
