@@ -14,13 +14,15 @@ take the same path with `order=()` (map-side partials, then
 `partitioned_ordered(partials, fold, order=())`), and the few steps keyed
 on something else (a (day, user) pair, a ts range) tag a `__pid` and call
 `exchange` directly; no step uses Ray's groupby().map_groups. The exchange
-makes one reduce block per read block (capped at NUM_PARTITIONS), so read_events sizes its read with
-the same rule as the pages read (stages.exchange.read_num_blocks): events
-is one file, so a table under 2 x CPUs x target_min_block_size of footer
-bytes reads as ceil(bytes / target_min_block_size) blocks. A one-block
-read (the sf0.01 table) goes through repartition(1) and one kernel call;
-a few blocks (sf0.1 reads as 3) go through a sort on fixed partition-id
-boundaries; a larger table keeps Ray's own split and its sampled sort.
+makes one reduce block per read block (capped at NUM_PARTITIONS), so
+read_events reads through stages.exchange.read_table, which sizes the read
+with the pages read's rule (read_num_blocks): events is one file, so a
+table under 2 x CPUs x target_min_block_size of footer bytes reads as
+ceil(bytes / target_min_block_size) blocks. A one-block table (the sf0.01
+table) is one read task, then one task that tags and runs the kernel once
+over every row; a few blocks (sf0.1 reads as 3) go through a sort on fixed
+partition-id boundaries; a larger table keeps Ray's own split and its
+sampled sort.
 Money values are aggregated as integer cents so distributed results are
 bit-identical to the SQL oracle (no float-summation-order drift).
 
@@ -41,7 +43,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..errors import SchemaError
-from ..stages.exchange import GOLD, exchange, pid_of, read_num_blocks
+from ..stages.exchange import GOLD, exchange, pid_of, read_table
 from ..state.kernels import (
     _seg_head,
     asof_index,
@@ -53,12 +55,20 @@ from ..state.kernels import (
 
 NUM_PARTITIONS = 32
 
+# Advice of the packed-key kernels' overflow errors. A kernel call holds one
+# reduce block, and a table reads as about footer bytes / target_min_block_size
+# blocks (stages.exchange.read_num_blocks), so raising num_partitions alone
+# cannot split a one-block table.
+FEWER_USERS_PER_CALL = (
+    "Each kernel call holds the users of one reduce block, and there are "
+    "min(read blocks, num_partitions) of them: lower "
+    "ray.data.DataContext.get_current().target_min_block_size so the table "
+    "reads as more blocks and each call holds fewer users."
+)
+
 
 def read_events(sf_dir: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    path = f"{sf_dir}/events.parquet"
-    return ray.data.read_parquet(
-        path, columns=columns, override_num_blocks=read_num_blocks([path])
-    )
+    return read_table([f"{sf_dir}/events.parquet"], columns)
 
 
 def partitioned_ordered(
@@ -563,28 +573,26 @@ FROM events GROUP BY event_type
 # two-table as-of join via the GENERIC co-partitioned stage (stages/asof.py):
 # left = all events, right = the signups table, hash-co-partitioned on
 # user_id, merged with one sorted forward pass per key segment. Same result
-# contract as asof_join (which merges within the single partitioned stream);
-# this exercises the union + side-tag exchange that the large-right-side path
-# uses at scale.
+# contract as asof_join (which merges within the single partitioned stream).
+# The signups are a filter of the events, so one read feeds both sides: the
+# stage tags each read block's left rows and its signups in one map, the
+# side-tag exchange that the large-right-side path uses at scale.
 
 
 def asof_join_two_table(sf_dir: str) -> ray.data.Dataset:
     from ..stages.asof import asof_join_copartitioned
 
-    ev = read_events(sf_dir, ["event_id", "user_id", "ts"])
+    ev = read_events(sf_dir, ["event_id", "user_id", "ts", "event_type", "value"])
 
-    def mk_signups(tbl: pa.Table) -> pa.Table:
+    def signups(tbl: pa.Table) -> pa.Table:
         t = tbl.filter(pc.equal(tbl.column("event_type"), "signup"))
         return pa.table(
             {"user_id": t.column("user_id"), "ts": t.column("ts"), "sig_value": t.column("value")}
         )
 
-    sig = read_events(sf_dir, ["user_id", "ts", "event_type", "value"]).map_batches(
-        mk_signups, batch_format="pyarrow"
-    )
     out = asof_join_copartitioned(
         ev,
-        sig,
+        signups,
         key="user_id",
         left_ts="ts",
         right_ts="ts",
@@ -906,8 +914,7 @@ def signup_window_agg(sf_dir: str, num_partitions: int = NUM_PARTITIONS) -> ray.
             raise SchemaError(
                 f"signup_window composite key overflow: per-user ts span+window "
                 f"needs {ts_bits} bits, {users.size} users need "
-                f"{max(users.size - 1, 0).bit_length()} — exceeds 64. "
-                f"Raise num_partitions to shrink users-per-partition."
+                f"{max(users.size - 1, 0).bit_length()} — exceeds 64. " + FEWER_USERS_PER_CALL
             )
         comb = (ucode.astype(np.uint64) << np.uint64(ts_bits)) | ts_rel
         order = np.argsort(comb, kind="stable")
@@ -1991,8 +1998,7 @@ def time_window_sum(sf_dir: str) -> ray.data.Dataset:
             if nseg * offset >= 2**62:  # survives python -O, unlike assert
                 raise SchemaError(
                     f"time_window segment-band shift would overflow int64: "
-                    f"{nseg} segments x {offset} us band. Raise num_partitions "
-                    f"to shrink users-per-partition or the ts span per task."
+                    f"{nseg} segments x {offset} us band. " + FEWER_USERS_PER_CALL
                 )
             shifted = base + seg_id * offset
             lo = np.searchsorted(shifted, shifted - TIME_WIN_US, side="left")
@@ -3255,8 +3261,7 @@ def interval_join_signup(sf_dir: str) -> ray.data.Dataset:
         if nseg * offset >= 2**62:  # survives python -O, unlike assert
             raise SchemaError(
                 f"interval_join segment-band shift would overflow int64: "
-                f"{nseg} segments x {offset} us band. Raise num_partitions "
-                f"to shrink users-per-partition or the ts span per task."
+                f"{nseg} segments x {offset} us band. " + FEWER_USERS_PER_CALL
             )
         shifted = base + seg_id * offset
         follow = ~is_sig
@@ -3481,7 +3486,7 @@ def resample_interp(sf_dir: str) -> ray.data.Dataset:
         if nseg * offset >= 2**62:
             raise SchemaError(
                 f"resample_interp band shift would overflow int64: {nseg} "
-                f"segments x {offset} us. Raise num_partitions."
+                f"segments x {offset} us. " + FEWER_USERS_PER_CALL
             )
         shifted = (ts - base_min) + seg_id * offset
         g_shift = (gts - base_min) + seg_of * offset

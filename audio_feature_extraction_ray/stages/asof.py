@@ -21,6 +21,7 @@ broadcast path).
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 
 import numpy as np
 import pyarrow as pa
@@ -73,7 +74,7 @@ def _tag_and_project(
 
 def asof_join_copartitioned(
     left: ray.data.Dataset,
-    right: ray.data.Dataset,
+    right: ray.data.Dataset | Callable[[pa.Table], pa.Table],
     key: str,
     left_ts: str,
     right_ts: str,
@@ -89,12 +90,21 @@ def asof_join_copartitioned(
     key). The key keeps its NATIVE type (string or integral) in the output.
     Pass col_types (column -> pa.DataType for left_cols + right_value_cols)
     and key_type when known — the .schema() fallback partially EXECUTES both
-    upstream pipelines just to sample their schemas."""
+    upstream pipelines just to sample their schemas.
+
+    `right` may instead be a function of a left block that returns its
+    right rows (e.g. a filter of the same table): both sides are then
+    tagged in one map over one read, so a one-block left side stays one
+    block into the exchange."""
 
     all_left = left_cols
     all_cols = all_left + right_value_cols
     if col_types is None or key_type is None:
-        lschema, rschema = left.schema(), right.schema()  # ray.data.Schema
+        lschema = left.schema()  # ray.data.Schema
+        if callable(right):
+            rschema = right(lschema.base_schema.empty_table()).schema
+        else:
+            rschema = right.schema()
         ltypes = dict(zip(lschema.names, lschema.types))
         rtypes = dict(zip(rschema.names, rschema.types))
         if col_types is None:
@@ -110,9 +120,16 @@ def asof_join_copartitioned(
         _tag_and_project, side=1, key=key, ts=right_ts, all_cols=all_cols,
         col_types=col_types, num_partitions=num_partitions,
     )
-    lt = left.map_batches(tag_l, batch_format="pyarrow")
-    rt = right.map_batches(tag_r, batch_format="pyarrow")
-    unioned = lt.union(rt)
+    if callable(right):
+
+        def tag_both(tbl: pa.Table) -> pa.Table:
+            return pa.concat_tables([tag_l(tbl), tag_r(right(tbl))])
+
+        unioned = left.map_batches(tag_both, batch_format="pyarrow")
+    else:
+        lt = left.map_batches(tag_l, batch_format="pyarrow")
+        rt = right.map_batches(tag_r, batch_format="pyarrow")
+        unioned = lt.union(rt)
 
     def merge(tbl: pa.Table) -> pa.Table:
         key_col = tbl.column("__key")

@@ -8,7 +8,10 @@ samples the data:
 
   * R is the block count `predicted_num_blocks(ds)` reads off the logical
     plan, capped at `parts`;
-  * R == 1: `ds.repartition(1)`, Ray's own plan for a keyless map_groups;
+  * R == 1: a gather, one `map_batches` whose batch size is every row:
+    Ray's bundler sends all input blocks to one task and its batcher
+    concatenates them, so `fn` runs once over all rows; the map fuses with
+    the maps before it, with no all-to-all barrier;
   * R > 1: `ds.sort(key, boundaries=...)` at round(i * parts / R), so the
     sort skips its SortSample round trip and each reducer gets the same
     number of key values;
@@ -45,11 +48,19 @@ overhead is most of each query's wall. The rule has three branches:
 (uncompressed), the in-memory size the footer promises without a data read.
 The threshold is Ray's own `DataContext.target_min_block_size`, so lowering
 that knob is also how a caller (or a test) asks for a finer split.
+
+`read_table(files, columns)` reads with that count. A one-block table is
+one Ray task running `pq.read_table`, handed over by
+`ray.data.from_arrow_refs`, which skips the planning and the fragment
+sampling of Ray's parquet read; any other count goes to
+`ray.data.read_parquet`. A one-block table then costs one read task and
+one fused map task from the read to `fn`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 
 import numpy as np
@@ -102,6 +113,23 @@ def read_num_blocks(files: list[str]) -> int | None:
     return n if n < 2 * cpus else None
 
 
+@ray.remote
+def _read_one_block(files: list[str], columns: list[str] | None) -> pa.Table:
+    return pa.concat_tables([pq.read_table(f, columns=columns) for f in files])
+
+
+def read_table(files: list[str], columns: list[str] | None = None) -> Dataset:
+    """The parquet `files` as a Dataset of `read_num_blocks(files)` blocks:
+    one Ray task for a one-block table, else Ray's parquet read. Columns,
+    their order and types are those of `ray.data.read_parquet`; files in
+    hive-style `key=value` directories, whose partition columns only Ray's
+    read adds, always take Ray's read."""
+    n = read_num_blocks(files)
+    if n == 1 and not any("=" in d for f in files for d in f.split("/")[:-1]):
+        return ray.data.from_arrow_refs([_read_one_block.remote(files, columns)])
+    return ray.data.read_parquet(files, columns=columns, override_num_blocks=n)
+
+
 def _predicted_outputs(op) -> int | None:
     if isinstance(op, Read):
         # n read tasks; a requested count p above n makes Ray cut each task's
@@ -150,10 +178,11 @@ def exchange(
     then call `fn` once per non-empty block, sorted stably by `order` (see
     the module docstring for the routing rule)."""
     r = predicted_num_blocks(ds)
+    batch_size = None  # one call per reduce block
     if r is None:
         ds = ds.sort(key)
     elif min(r, parts) <= 1:
-        ds = ds.repartition(1)
+        batch_size = sys.maxsize  # the gather: one call over every row
     else:
         r = min(r, parts)
         ds = ds.sort(key, boundaries=[round(i * parts / r) for i in range(1, r)])
@@ -169,4 +198,4 @@ def exchange(
 
     # the operator is named after fn, as map_groups names it
     per_block.__name__ = fn.__name__
-    return ds.map_batches(per_block, batch_format="pyarrow", batch_size=None)
+    return ds.map_batches(per_block, batch_format="pyarrow", batch_size=batch_size)

@@ -6,7 +6,9 @@ and a value hash over columns sorted by name.
 
 Entries are selected by name or glob (all when none is given). --against
 compares each selected entry's status and row count with a saved gate (the
-JSON this script prints) and exits 1 on any difference."""
+JSON this script prints) and exits 1 on any difference. Every entry's
+`hash` is the canonical hash of the engine's own output (list cells hashed
+by their bytes), so the JSON of two trees compares entry by entry."""
 import argparse
 import fnmatch
 import hashlib
@@ -14,6 +16,7 @@ import json
 import sys
 
 import duckdb
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 
@@ -45,8 +48,22 @@ def to_pandas(res):
     return res.to_pandas()  # ray Dataset
 
 
+def _cell_digest(v):
+    """A list cell as the sha256 of its dtype and bytes, so that a column of
+    list cells sorts and hashes like a column of scalars."""
+    a = np.asarray(v)
+    data = repr(a.tolist()).encode() if a.dtype == object else a.tobytes()
+    return hashlib.sha256(str(a.dtype).encode() + data).hexdigest()
+
+
+def _is_list(v) -> bool:
+    return isinstance(v, (list, np.ndarray))
+
+
 def canon(df: pd.DataFrame) -> tuple[str, str, int]:
     df = df[sorted(df.columns)]
+    lists = [c for c in df.columns if df[c].dtype == object and df[c].map(_is_list).any()]
+    df = df.assign(**{c: df[c].map(lambda v: _cell_digest(v) if _is_list(v) else v) for c in lists})
     df = df.sort_values(list(df.columns), kind="mergesort").reset_index(drop=True)
     # normalize floats to reduce representation noise
     h = hashlib.sha256()
@@ -76,15 +93,15 @@ for name, fn in qs.items():
     except Exception as e:
         results[name] = {"status": "RAY_ERROR", "err": repr(e)[:200]}
         continue
+    rh, rs, rn = canon(ray_df)
     if name not in oracles:
-        results[name] = {"status": "rows_only", "rows": len(ray_df)}
+        results[name] = {"status": "rows_only", "rows": rn, "hash": rh}
         continue
     try:
         ora_df = con.execute(oracles[name]).df()
     except Exception as e:
         results[name] = {"status": "ORACLE_ERROR", "err": repr(e)[:200]}
         continue
-    rh, rs, rn = canon(ray_df)
     oh, os_, on_ = canon(ora_df)
     ok = (rh == oh) and (rs == os_) and (rn == on_)
     results[name] = {
@@ -92,6 +109,7 @@ for name, fn in qs.items():
         "rows": [rn, on_],
         "schema_ok": rs == os_,
         "hash_ok": rh == oh,
+        "hash": rh,
     }
     if rs != os_:
         results[name]["schemas"] = [rs, os_]

@@ -1,8 +1,8 @@
 """The keyed exchange and the read layout in front of it
-(stages/exchange.py): the three-branch block-count rule, the plan it gives
-read_events, layout parity of the events as-of/window family against its
-DuckDB oracles, exchange() against Ray's groupby().map_groups(), and the
-one partition hash pid_of()."""
+(stages/exchange.py): the three-branch block-count rule, read_table and the
+plan it gives read_events, layout parity of the events as-of/window family
+against its DuckDB oracles, exchange() against Ray's
+groupby().map_groups(), and the one partition hash pid_of()."""
 
 import hashlib
 
@@ -11,6 +11,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+import ray
 from ray.data import DataContext
 
 from audio_feature_extraction_ray.functions.hashing import hash64_str_array
@@ -113,10 +114,78 @@ def _read_op_names(ds):
 
 
 def test_read_events_on_a_tiny_table_is_one_unsplit_read(ray_session, tmp_path):
+    """A one-block table is one pq.read_table task, handed to Ray Data as
+    one block: no ReadParquet planning or fragment sampling."""
     sf = _events_table(tmp_path / "sf", rows=50, users=5)
     ds = read_events(sf).materialize()
-    assert _read_op_names(ds) == ["ReadParquet"]
+    assert _op_names(ds) == ["FromArrow"]
+    assert _read_op_names(ds) == []
     assert ds.num_blocks() == 1
+
+
+def _arrow(ds) -> pa.Table:
+    return pa.concat_tables(ray.get(ds.to_arrow_refs())).combine_chunks()
+
+
+@pytest.mark.parametrize("columns", [None, ["value", "ts", "user_id"]])
+@pytest.mark.parametrize("n_files", [1, 2])
+def test_read_table_matches_ray_read_parquet(ray_session, tmp_path, columns, n_files):
+    """On the one-block path, read_table gives the schema (column order and
+    types, every column when columns=None) and rows of Ray's read."""
+    sf = _events_table(tmp_path / "sf", rows=400)
+    files = [f"{sf}/events.parquet"]
+    if n_files == 2:
+        files.append(_events_table(tmp_path / "sf2", seed=6, rows=300) + "/events.parquet")
+    assert read_num_blocks(files) == 1
+    ds = exchange.read_table(files, columns)
+    assert _op_names(ds.materialize()) == ["FromArrow"]
+    # Ray's read as read_events made it before read_table: one block
+    want = _arrow(ray.data.read_parquet(files, columns=columns, override_num_blocks=1))
+    got = _arrow(ds)
+    assert got.schema == want.schema
+    assert got.column_names == (columns or ["event_id", "ts", "user_id", "event_type", "value", "props"])
+    assert got.num_rows == 400 + 300 * (n_files - 1)
+    assert got.equals(want)
+
+
+def test_read_table_missing_file_raises_at_construction(ray_session, tmp_path):
+    with pytest.raises(FileNotFoundError):
+        exchange.read_table([str(tmp_path / "missing.parquet")])
+
+
+def test_read_table_leaves_hive_directories_to_ray(ray_session, tmp_path):
+    """A file under a `key=value` directory keeps Ray's read, which adds
+    the partition column."""
+    sf = _events_table(tmp_path / "day=3", rows=40)
+    ds = exchange.read_table([f"{sf}/events.parquet"], None)
+    assert _arrow(ds).column_names[-1] == "day"
+
+
+DEGENERATE_ENTRIES = ("events_lag_lead", "events_asof_join", "events_sessionize")
+
+
+@pytest.mark.parametrize("case", ["zero_rows", "one_user"])
+def test_one_block_path_degenerate_inputs_match_oracle(ray_session, tmp_path, case):
+    """A zero-row table and a one-user table, read as one block and
+    gathered into one kernel call, give the DuckDB oracle's rows."""
+    import duckdb
+
+    import __ray_entry__ as entry
+
+    sf = _events_table(tmp_path / "sf", rows=0 if case == "zero_rows" else 120, users=1)
+    assert read_num_blocks([f"{sf}/events.parquet"]) == 1
+    queries, oracles = entry.queries(), entry.oracle_sql()
+    con = duckdb.connect()
+    con.execute(f"CREATE VIEW events AS SELECT * FROM read_parquet('{sf}/events.parquet')")
+    for name in DEGENERATE_ENTRIES:
+        want = con.execute(oracles[name]).df()
+        got = _to_pandas(queries[name](sf))
+        if case == "zero_rows":
+            assert len(want) == len(got) == 0, name
+        else:
+            assert _canon_hash(got) == _canon_hash(want), name
+            assert len(got) == 120, name
+    con.close()
 
 
 def _canon_hash(df: pd.DataFrame) -> tuple[str, str, int]:
@@ -278,13 +347,35 @@ def _count_sampling(monkeypatch) -> list:
     return calls
 
 
-def test_exchange_plan_one_block_is_a_repartition(ray_session, tmp_path):
+def test_exchange_plan_one_block_is_one_fused_gather(ray_session, tmp_path):
+    """A one-block input: no Repartition and no Sort; the tag map and the
+    kernel run as one fused MapBatches task after the read."""
     ds = _tagged(_events_table(tmp_path / "sf"))
     out = exchange.exchange(ds, "partition_id", _kernels()[0], PARTS).materialize()
     names = _op_names(out)
-    assert any(n.startswith("Repartition") for n in names), names
-    assert not any(n.startswith("Sort") for n in names), names
-    assert names[-1] == "MapBatches(rank_in_partition)"
+    assert not any(n.startswith(("Repartition", "Sort")) for n in names), names
+    assert names == ["FromArrow", "MapBatches(tag)->MapBatches(rank_in_partition)"], names
+    assert "MapBatches(tag)->MapBatches(rank_in_partition): 1 tasks executed" in out.stats()
+
+
+def test_wrong_one_block_prediction_still_gathers(ray_session, tmp_path, monkeypatch):
+    """An input of at least 8 read blocks predicted as one block: fn still
+    runs once, over every row, and gives the rows of the multi-block path."""
+    sf = _events_table(tmp_path / "sf")
+    nbytes = exchange._footer_bytes([f"{sf}/events.parquet"])
+    monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", nbytes // (4 * CPUS))
+    ds = _tagged(sf)
+    assert ds.materialize().num_blocks() >= 8
+    rank = _kernels()[0]
+    want = _canon_hash(exchange.exchange(ds, "partition_id", rank, PARTS).to_pandas())
+
+    def rows_per_call(tbl: pa.Table) -> pa.Table:
+        return pa.table({"rows": [tbl.num_rows]})
+
+    monkeypatch.setattr(exchange, "predicted_num_blocks", lambda ds: 1)
+    calls = exchange.exchange(ds, "partition_id", rows_per_call, PARTS).take_all()
+    assert calls == [{"rows": 3000}]
+    assert _canon_hash(exchange.exchange(ds, "partition_id", rank, PARTS).to_pandas()) == want
 
 
 def test_exchange_plan_multi_block_sorts_on_fixed_boundaries(ray_session, tmp_path, monkeypatch):
