@@ -7,6 +7,18 @@ All stages are vectorized Arrow/numpy map_batches; where the semantics are
 SQL-expressible the DuckDB oracle reproduces values bit-exactly (fixed-point
 rounding on both sides where float formulas are involved).
 
+Execution idiom: read -> tag -> exchange. Every table is read through
+`stages.exchange.read_table`, so its block count is known from the plan. A
+keyed step tags each row with an int32 partition id in [0, parts) (a token,
+doc or phrase hash; `pid_of` for integer keys; `searchsorted` on sampled
+bounds for the order-aligned range partitions of the global rank and the
+packers), then calls `stages.exchange.exchange(ds, pid_col, kernel, parts)`.
+The kernel runs once per reduce block, and a block holds many partition
+ids: a kernel that groups by its own key (token, doc_id, source) is correct
+as it stands, and one whose state is per partition id (a rank, a prefix
+sum, a greedy pack) restarts at each partition id's first row
+(`state.kernels._seg_head`), with the rows ordered by `order`.
+
 Tokenizer contract for this table: documents.text is single-space separated
 (no leading/trailing/double spaces — asserted in tests), so
 token_count = spaces + 1 and the SQL string_split(text, ' ') agrees with
@@ -23,11 +35,12 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.text import _LANG_ORDER, _STOPWORDS
-from ..stages.exchange import pid_of
+from ..stages.exchange import exchange, pid_of, read_table
+from ..state.kernels import _propagate_last, _seg_head
 
 
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return read_table([f"{sf_dir}/documents.parquet"], columns)
 
 
 def _token_lists(text: pa.Array):
@@ -450,11 +463,11 @@ def distinct_tokens(sf_dir: str):
         n = pc.count_distinct(tbl.column("token")).as_py()
         return pa.table({"n_partial": pa.array([n], pa.int64())})
 
-    ds = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: count_unique(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    ds = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        count_unique,
+        DISTINCT_TOKENS_PARTS,
     )
     import pandas as pd
 
@@ -570,11 +583,11 @@ def bigram_topk(sf_dir: str):
             {"bigram": uniq.take(pa.array(order)), "n": pa.array(sums[order], pa.int64())}
         )
 
-    ds = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    ds = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        finish,
+        BIGRAM_PARTS,
     )
     import pandas as pd
 
@@ -715,13 +728,10 @@ def tfidf_top_terms(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: score_partition(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .groupby("__pid2")
-        .map_groups(lambda g: topk_partition(g.drop_columns(["__pid2"])), batch_format="pyarrow")
+    scored = exchange(
+        docs.map_batches(pairs, batch_format="pyarrow"), "__pid", score_partition, DF_PARTS
     )
+    return exchange(scored, "__pid2", topk_partition, DF_PARTS)
 
 
 TFIDF_TOP_TERMS_SQL = f"""
@@ -801,11 +811,11 @@ def token_postings(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(pairs, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: build(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    return exchange(
+        _read_docs(sf_dir, ["doc_id", "text"]).map_batches(pairs, batch_format="pyarrow"),
+        "__pid",
+        build,
+        DF_PARTS,
     )
 
 
@@ -888,15 +898,12 @@ def token_heavy_hitters(sf_dir: str):
     # one hash exchange on token merges the <= MG_K-per-batch partials
     # distributed; the driver folds only <= MG_K * MG_PARTS counters (at
     # 100 TB that is 1024 rows, vs 64 x ~10^7 batches before this fix)
-    parts = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: _mg_merge_partition(g.drop_columns(["__pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()
-    )
+    parts = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        _mg_merge_partition,
+        MG_PARTS,
+    ).to_pandas()
     agg = parts.groupby("token", as_index=False)["est"].sum()  # disjoint; sum is a no-op join
     toks, counts = _mg_compress(
         agg["token"].to_numpy(), agg["est"].to_numpy().astype(np.int64), MG_K
@@ -956,10 +963,8 @@ def docs_lang_join(sf_dir: str) -> ray.data.Dataset:
         np.add.at(sums, codes, tbl.column("n_partial").to_numpy())
         return pa.table({"lang": de.dictionary, "lang_docs": pa.array(sums, pa.int64())})
 
-    dim = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: fold(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    dim = exchange(
+        docs.map_batches(partial, batch_format="pyarrow"), "__pid", fold, LANG_JOIN_PARTS
     )
     return copartitioned_equijoin(
         docs,
@@ -1169,13 +1174,10 @@ def unigram_logprob(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: score_partition(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .groupby("__pid2")
-        .map_groups(lambda g: fold_partition(g.drop_columns(["__pid2"])), batch_format="pyarrow")
+    scored = exchange(
+        docs.map_batches(pairs, batch_format="pyarrow"), "__pid", score_partition, UNIGRAM_PARTS
     )
+    return exchange(scored, "__pid2", fold_partition, UNIGRAM_PARTS)
 
 
 UNIGRAM_LOGPROB_SQL = """
@@ -1298,12 +1300,9 @@ def dsir_weights(sf_dir: str, target_source: str = DSIR_TARGET_SOURCE) -> ray.da
             }
         )
 
-    partials = (
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: score_partition(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .materialize()  # the fold input; reduced once more for 3 scalars
-    )
+    partials = exchange(
+        docs.map_batches(pairs, batch_format="pyarrow"), "__pid", score_partition, UNIGRAM_PARTS
+    ).materialize()  # the fold input; reduced once more for 3 scalars
     # empty corpus: Dataset.sum yields None (or None-valued fields) — no
     # rows reach the fold, so any c6 works; 1/0/0 keeps the log defined
     gl = partials.sum(["vocab_p", "tt_p", "tr_p"]) or {}
@@ -1329,13 +1328,7 @@ def dsir_weights(sf_dir: str, target_source: str = DSIR_TARGET_SOURCE) -> ray.da
             }
         )
 
-    return (
-        partials.groupby("__pid2")
-        .map_groups(
-            lambda g: fold_partition(g.drop_columns(["__pid2", "vocab_p", "tt_p", "tr_p"])),
-            batch_format="pyarrow",
-        )
-    )
+    return exchange(partials, "__pid2", fold_partition, UNIGRAM_PARTS)
 
 
 DSIR_WEIGHTS_SQL = f"""
@@ -1526,19 +1519,22 @@ def global_rank_by_key(
     shuffle."""
 
     def local_rank(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.sort_by([("__key", "ascending")])
-        lr = np.arange(1, tbl.num_rows + 1, dtype=np.int64)
+        # rows arrive sorted by (__pid, __key); the rank restarts at each __pid
+        pos = np.arange(tbl.num_rows, dtype=np.int64)
+        head = _seg_head(tbl.column("__pid").to_numpy())
+        lr = pos - _propagate_last(np.where(head, pos, 0), head) + 1
         cols = {c: tbl.column(c) for c in payload_cols}
         cols["__pid"] = tbl.column("__pid")
         cols["__local_rank"] = pa.array(lr)
         return pa.table(cols)
 
-    ranked = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(local_rank, batch_format="pyarrow")
-        .materialize()  # the ranked output itself; counted next, no recompute
-    )
+    ranked = exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "__pid",
+        local_rank,
+        n_partitions,
+        order=("__pid", "__key"),
+    ).materialize()  # the ranked output itself; counted next, no recompute
     counts_rows = ranked.groupby("__pid").count().take_all()
     counts = np.zeros(n_partitions, dtype=np.int64)
     for r in counts_rows:
@@ -1571,11 +1567,7 @@ def quality_rank(sf_dir: str) -> ray.data.Dataset:
     # + a pruned sampled read — same discipline as the url range partitioner)
     n = pq.read_metadata(docs_path).num_rows
     frac = min(1.0, _RANK_SAMPLE / max(1, n))
-    sample = (
-        ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
-        .random_sample(frac, seed=11)
-        .take_all()
-    )
+    sample = read_table([docs_path], ["doc_id", "text"]).random_sample(frac, seed=11).take_all()
     s_ids = np.array([r["doc_id"] for r in sample], dtype=np.int64)
     s_q = quality_scores(pa.array([r["text"] for r in sample], pa.string()))
     bounds = sample_key_bounds(_pack_rank_key(s_q, s_ids))
@@ -1846,11 +1838,11 @@ def lang_top_token(sf_dir: str):
             }
         )
 
-    parts = (
-        _read_docs(sf_dir, ["text", "lang"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: argmax_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    parts = exchange(
+        _read_docs(sf_dir, ["text", "lang"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        argmax_kernel,
+        LANG_TOP_PARTS,
     )
     import pandas as pd
 
@@ -2078,11 +2070,7 @@ def _pack_bounds(sf_dir: str) -> np.ndarray:
     docs_path = f"{sf_dir}/documents.parquet"
     n = pq.read_metadata(docs_path).num_rows
     frac = min(1.0, _PACK_SAMPLE / max(1, n))
-    sample = (
-        ray.data.read_parquet(docs_path, columns=["doc_id"])
-        .random_sample(frac, seed=13)
-        .take_all()
-    )
+    sample = read_table([docs_path], ["doc_id"]).random_sample(frac, seed=13).take_all()
     s_ids = np.sort(np.array([r["doc_id"] for r in sample], dtype=np.int64))
     idx = (np.arange(1, _PACK_PARTITIONS) * s_ids.size) // _PACK_PARTITIONS
     return s_ids[np.minimum(idx, s_ids.size - 1)] if s_ids.size else np.array([], np.int64)
@@ -2107,10 +2095,13 @@ def _pack_docs(ds: ray.data.Dataset, bounds: np.ndarray) -> ray.data.Dataset:
         )
 
     def local_scan(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.sort_by([("doc_id", "ascending")])
+        # rows arrive sorted by doc_id, so each __pid is one run (the bounds
+        # are order-aligned); the prefix sum restarts at each __pid
         ntok = tbl.column("n_tokens").to_numpy()
+        head = _seg_head(tbl.column("__pid").to_numpy())
         cum = np.cumsum(ntok)
         local_before = cum - ntok
+        local_before -= _propagate_last(np.where(head, local_before, 0), head)
         return pa.table(
             {
                 "doc_id": tbl.column("doc_id"),
@@ -2120,12 +2111,13 @@ def _pack_docs(ds: ray.data.Dataset, bounds: np.ndarray) -> ray.data.Dataset:
             }
         )
 
-    scanned = (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(local_scan, batch_format="pyarrow")
-        .materialize()  # counted next; this IS the output minus offsets
-    )
+    scanned = exchange(
+        ds.map_batches(tag, batch_format="pyarrow"),
+        "__pid",
+        local_scan,
+        len(bounds) + 1,
+        order=("doc_id",),
+    ).materialize()  # counted next; this IS the output minus offsets
     from ray.data.aggregate import Sum
 
     tot_rows = scanned.groupby("__pid").aggregate(Sum("n_tokens", alias_name="t")).take_all()
@@ -2155,8 +2147,7 @@ def _pack_docs(ds: ray.data.Dataset, bounds: np.ndarray) -> ray.data.Dataset:
 
 
 def pack_sequences(sf_dir: str) -> ray.data.Dataset:
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
-    return _pack_docs(ds, _pack_bounds(sf_dir))
+    return _pack_docs(_read_docs(sf_dir, ["doc_id", "text"]), _pack_bounds(sf_dir))
 
 
 PACK_SEQUENCES_SQL = f"""
@@ -2288,12 +2279,14 @@ def pack_greedy_nosplit(
         )
 
     def pack_kernel(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.sort_by([("doc_id", "ascending")])
-        pid = int(tbl.column("__pid")[0].as_py()) if tbl.num_rows else 0
+        # rows arrive sorted by doc_id, so each __pid is one run (the bounds
+        # are order-aligned); the packing restarts at each __pid
+        pid = tbl.column("__pid").to_numpy()
+        head = _seg_head(pid)
         ntok = tbl.column("n_tokens").to_numpy()
         n = ntok.size
         # greedy first-fit in order: running fill with reset — a true scan,
-        # but over ONE partition's doc COUNT (not tokens); plain loop over
+        # but over ONE block's doc COUNT (not tokens); plain loop over
         # int64s is fine at per-partition scale and stays off the hot path
         seq_local = np.empty(n, dtype=np.int64)
         off_in_seq = np.empty(n, dtype=np.int64)
@@ -2301,7 +2294,10 @@ def pack_greedy_nosplit(
         cur = 0
         for i in range(n):
             t = int(ntok[i]) if ntok[i] > 0 else 1
-            if fill + t > seq_len and fill > 0:
+            if head[i]:
+                cur = 0
+                fill = 0
+            elif fill + t > seq_len and fill > 0:
                 cur += 1
                 fill = 0
             seq_local[i] = cur
@@ -2311,16 +2307,17 @@ def pack_greedy_nosplit(
             {
                 "doc_id": tbl.column("doc_id"),
                 "n_tokens": tbl.column("n_tokens"),
-                "seq_id": pa.array((np.int64(pid) << np.int64(32)) | seq_local, pa.int64()),
+                "seq_id": pa.array((pid.astype(np.int64) << np.int64(32)) | seq_local, pa.int64()),
                 "offset_in_seq": pa.array(off_in_seq, pa.int64()),
             }
         )
 
-    return (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(pack_kernel, batch_format="pyarrow")
+    return exchange(
+        _read_docs(sf_dir, ["doc_id", "text"]).map_batches(tag, batch_format="pyarrow"),
+        "__pid",
+        pack_kernel,
+        len(bounds) + 1,
+        order=("doc_id",),
     )
 
 
@@ -2693,15 +2690,12 @@ def column_profile(sf_dir: str):
         )
 
     def uniq_count(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         agg = tbl.group_by(["column"]).aggregate([("v", "count_distinct")])
         return agg.rename_columns(["column", "nd"])
 
     nd: dict[str, int] = {c: 0 for c in _PROFILE_COLS}
-    parts = (
-        ds.map_batches(uniq_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(uniq_count, batch_format="pyarrow")
+    parts = exchange(
+        ds.map_batches(uniq_partial, batch_format="pyarrow"), "__pid", uniq_count, _PROFILE_PARTS
     )
     for r in parts.take_all():  # bounded: post-__pid-exchange, <= parts x columns
         nd[r["column"]] += int(r["nd"])
@@ -2813,16 +2807,7 @@ def bigram_logprob(sf_dir: str) -> ray.data.Dataset:
         )
 
     def score_partition(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        if tbl.num_rows == 0:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.int64()),
-                    "psum": pa.array([], pa.int64()),
-                    "pbg": pa.array([], pa.int64()),
-                    "__pid2": pa.array([], pa.int32()),
-                }
-            )
+        # exchange never calls a kernel with an empty block
         bg = tbl.column("bg")
         if isinstance(bg, pa.ChunkedArray):
             bg = bg.combine_chunks()
@@ -2865,7 +2850,6 @@ def bigram_logprob(sf_dir: str) -> ray.data.Dataset:
         )
 
     def fold_partition(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid2"])
         did = tbl.column("doc_id").to_numpy()
         uniq, inv = np.unique(did, return_inverse=True)
         s = np.zeros(uniq.size, dtype=np.int64)
@@ -2882,13 +2866,10 @@ def bigram_logprob(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        docs.map_batches(pairs, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(score_partition, batch_format="pyarrow")
-        .groupby("__pid2")
-        .map_groups(fold_partition, batch_format="pyarrow")
+    scored = exchange(
+        docs.map_batches(pairs, batch_format="pyarrow"), "__pid", score_partition, BIGRAM_LM_PARTS
     )
+    return exchange(scored, "__pid2", fold_partition, BIGRAM_LM_PARTS)
 
 
 BIGRAM_LOGPROB_SQL = """
@@ -2981,12 +2962,8 @@ def dq_violations(sf_dir: str):
         dups = int((did[1:] == did[:-1]).sum()) if did.size > 1 else 0
         return pa.table({"violations": pa.array([dups], pa.int64())})
 
-    dup_parts = (
-        ds.map_batches(route, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: dup_count(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .take_all()
-    )
+    routed = ds.map_batches(route, batch_format="pyarrow")
+    dup_parts = exchange(routed, "__pid", dup_count, 16).take_all()
     agg["doc_id_unique"] = sum(int(r["violations"]) for r in dup_parts)
     rows = sorted(agg.items())
     return pd.DataFrame(rows, columns=["rule", "violations"])
@@ -3172,13 +3149,12 @@ def _topk_exact(sf_dir: str, k: int = TOPK_RESCORE_K):
             }
         )
 
-    parts = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .to_pandas()  # bounded: <= k x MG_PARTS rows
-    )
+    parts = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        finish,
+        MG_PARTS,
+    ).to_pandas()  # bounded: <= k x MG_PARTS rows
     out = parts.sort_values(["n", "token"], ascending=[False, True], kind="mergesort").head(k)
     return out.reset_index(drop=True)
 
@@ -3205,6 +3181,14 @@ def token_topk_rescore(sf_dir: str, k: int = TOPK_RESCORE_K):
         return pa.table({"token": tarr, "est": est, "__pid": pa.array(pid)})
 
     def sketch_merge(tbl: pa.Table) -> pa.Table:
+        # one Misra-Gries compress (and subtracted-mass term) per partition
+        # id, as its bound assumes, though a block holds many
+        pid = tbl.column("__pid")
+        return pa.concat_tables(
+            [merge_one(tbl.filter(pc.equal(pid, p))) for p in pc.unique(pid).to_pylist()]
+        )
+
+    def merge_one(tbl: pa.Table) -> pa.Table:
         tok = tbl.column("token")
         if isinstance(tok, pa.ChunkedArray):
             tok = tok.combine_chunks()
@@ -3226,15 +3210,12 @@ def token_topk_rescore(sf_dir: str, k: int = TOPK_RESCORE_K):
             }
         )
 
-    merged = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(sketch_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: sketch_merge(g.drop_columns(["__pid"])), batch_format="pyarrow"
-        )
-        .to_pandas()  # bounded: <= (MG_K + 1) x MG_PARTS rows
-    )
+    merged = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(sketch_partial, batch_format="pyarrow"),
+        "__pid",
+        sketch_merge,
+        MG_PARTS,
+    ).to_pandas()  # bounded: <= (MG_K + 1) x MG_PARTS rows
     sent = merged["token"] == _TSUB_SENTINEL
     e_total = int(merged.loc[sent, "est"].sum())
     agg = merged[~sent].groupby("token", as_index=False)["est"].sum()  # disjoint keys
@@ -3382,16 +3363,15 @@ def token_countmin(sf_dir: str, width: int = CMS_WIDTH, exact: bool = True):
         pid = (string_hash_strong(uniq) % np.uint64(MG_PARTS)).astype(np.int32)
         return pa.table({"token": uniq, "__pid": pa.array(pid)})
 
-    vocab_tbl = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(uniq_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: pa.table({"token": pc.unique(g.column("token"))}),
-            batch_format="pyarrow",
-        )
-        .to_pandas()  # bounded: the declared-vocab exact regime, guarded below
-    )
+    def uniq_tokens(tbl: pa.Table) -> pa.Table:
+        return pa.table({"token": pc.unique(tbl.column("token"))})
+
+    vocab_tbl = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(uniq_partial, batch_format="pyarrow"),
+        "__pid",
+        uniq_tokens,
+        MG_PARTS,
+    ).to_pandas()  # bounded: the declared-vocab exact regime, guarded below
     vocab = np.sort(vocab_tbl["token"].to_numpy().astype(object))
     if vocab.size > CMS_VOCAB_CAP:
         raise SchemaError(
@@ -3521,11 +3501,11 @@ def _zipf_histogram(sf_dir: str) -> "pd.DataFrame":
             }
         )
 
-    parts = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: to_hist(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    parts = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        to_hist,
+        ZIPF_PARTS,
     )
 
     def fold(tbl: pa.Table) -> pa.Table:
@@ -3680,11 +3660,11 @@ def token_heaps_curve(sf_dir: str, bucket: int = HEAPS_BUCKET):
             }
         )
 
-    parts = (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: to_buckets(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    parts = exchange(
+        _read_docs(sf_dir, ["doc_id", "text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        to_buckets,
+        ZIPF_PARTS,
     )
 
     def fold(tbl: pa.Table) -> pa.Table:
@@ -3797,11 +3777,11 @@ def token_cooc_window(sf_dir: str, window: int = COOC_WINDOW):
             {"pair": uniq.take(pa.array(order)), "n": pa.array(sums[order], pa.int64())}
         )
 
-    ds = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    ds = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        finish,
+        BIGRAM_PARTS,
     )
     import pandas as pd
 
@@ -4054,15 +4034,21 @@ _PARETO_CHUNK = 512
 
 def _pareto_mask(feats: np.ndarray) -> np.ndarray:
     """Boolean keep-mask of the non-dominated rows of an (n, d) int matrix.
-    Chunked n^2 vectorized dominance test."""
-    n = feats.shape[0]
-    keep = np.ones(n, dtype=bool)
-    for s in range(0, n, _PARETO_CHUNK):
-        e = min(s + _PARETO_CHUNK, n)
-        block = feats[s:e]  # (c, d)
-        ge = (feats[:, None, :] >= block[None, :, :]).all(axis=2)  # (n, c)
-        gt = (feats[:, None, :] > block[None, :, :]).any(axis=2)
-        keep[s:e] = ~np.any(ge & gt, axis=0)
+    A dominator has a strictly larger row sum, so in decreasing-sum order it
+    comes first, and a row dominated by a dropped row is also dominated by a
+    kept one: each chunk is tested against the front so far and itself, not
+    against all n rows (cost n x (front + chunk), not n^2)."""
+    keep = np.zeros(feats.shape[0], dtype=bool)
+    order = np.argsort(-feats.sum(axis=1), kind="stable")
+    front = feats[:0]
+    for s in range(0, order.size, _PARETO_CHUNK):
+        idx = order[s : s + _PARETO_CHUNK]
+        block = feats[idx]  # (c, d)
+        cand = np.concatenate([front, block])
+        ge = (cand[:, None, :] >= block[None, :, :]).all(axis=2)  # (front + c, c)
+        gt = (cand[:, None, :] > block[None, :, :]).any(axis=2)
+        keep[idx] = ~np.any(ge & gt, axis=0)
+        front = np.concatenate([front, block[keep[idx]]])
     return keep
 
 
@@ -4295,17 +4281,16 @@ def _vocab_counts(sf_dir: str) -> ray.data.Dataset:
 
     def total(tbl: pa.Table) -> pa.Table:
         return (
-            tbl.drop_columns(["__pid"])
-            .group_by("token")
+            tbl.group_by("token")
             .aggregate([("c", "sum")])
             .rename_columns(["token", "c"])
         )
 
-    return (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(total, batch_format="pyarrow")
+    return exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        total,
+        VOCAB_PARTS,
     )
 
 
@@ -4350,23 +4335,22 @@ def vocab_token_ids(sf_dir: str) -> ray.data.Dataset:
         lvl_off = np.concatenate([[0], np.cumsum(h["n_tokens"].to_numpy())[:-1]]).astype(
             np.int64
         )
-    # level -> starting offset, captured by value into the rank kernel
-    # (bounded dict, the broadcast-small-side discipline)
-    off_of = {int(c): int(o) for c, o in zip(lvl_c, lvl_off)}
+    # lvl_c (descending) and lvl_off are captured by value into the rank
+    # kernel (bounded arrays, the broadcast-small-side discipline)
+
+    def tag(tbl: pa.Table) -> pa.Table:
+        pid = pid_of(tbl.column("c").to_numpy(), VOCAB_PARTS)
+        return tbl.append_column("__pid", pa.array(pid))
 
     def rank_level(tbl: pa.Table) -> pa.Table:
-        # one group per count level; rank by token string within it
-        if tbl.num_rows == 0:
-            return pa.table(
-                {
-                    "token": pa.array([], pa.string()),
-                    "c": pa.array([], pa.int64()),
-                    "token_id": pa.array([], pa.int64()),
-                }
-            )
-        tbl = tbl.sort_by([("token", "ascending")])
-        c0 = int(tbl.column("c")[0].as_py())
-        ids = off_of[c0] + np.arange(1, tbl.num_rows + 1, dtype=np.int64)
+        # rank by token string within each count level; a block holds many
+        # levels, so the rank restarts at each level's first row
+        tbl = tbl.sort_by([("c", "ascending"), ("token", "ascending")])
+        c = tbl.column("c").to_numpy()
+        pos = np.arange(c.size, dtype=np.int64)
+        head = _seg_head(c)
+        rank = pos - _propagate_last(np.where(head, pos, 0), head) + 1
+        ids = lvl_off[np.searchsorted(-lvl_c, -c)] + rank
         return pa.table(
             {
                 "token": tbl.column("token"),
@@ -4375,7 +4359,8 @@ def vocab_token_ids(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return counts.groupby("c").map_groups(rank_level, batch_format="pyarrow")
+    tagged = counts.map_batches(tag, batch_format="pyarrow")
+    return exchange(tagged, "__pid", rank_level, VOCAB_PARTS)
 
 
 def docs_vocab_ids(sf_dir: str):
@@ -4977,8 +4962,7 @@ def docs_feature_hash(sf_dir: str) -> ray.data.Dataset:
 
     def fold(tbl: pa.Table) -> pa.Table:
         return (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["doc_id", "bucket"])
+            tbl.group_by(["doc_id", "bucket"])
             .aggregate([("f", "sum")])
             .rename_columns(["doc_id", "bucket", "fval"])
         )
@@ -4990,11 +4974,13 @@ def docs_feature_hash(sf_dir: str) -> ray.data.Dataset:
         ).astype(np.int32)
         return tbl.append_column("partition_id", pa.array(pid))
 
-    return (
-        joined.map_batches(bucket_partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(
+        joined.map_batches(bucket_partial, batch_format="pyarrow").map_batches(
+            tag, batch_format="pyarrow"
+        ),
+        "partition_id",
+        fold,
+        VOCAB_PARTS,
     )
 
 
@@ -5269,8 +5255,7 @@ def docs_source_js(sf_dir: str):
 
     def pair_terms(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["source", "token"])
+            tbl.group_by(["source", "token"])
             .aggregate([("c", "sum")])
             .rename_columns(["source", "token", "c"])
         )
@@ -5313,10 +5298,8 @@ def docs_source_js(sf_dir: str):
         )
         return tbl.append_column("partition_id", pa.array(pid))
 
-    partials = (
-        counts.map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(pair_terms, batch_format="pyarrow")
+    partials = exchange(
+        counts.map_batches(tag, batch_format="pyarrow"), "partition_id", pair_terms, JS_PARTS
     )
     folded = exchange_fold(
         partials,
@@ -5468,8 +5451,7 @@ def docs_dup_rate_by_source(sf_dir: str):
 
     def digest_fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["content_md5", "source"])
+            tbl.group_by(["content_md5", "source"])
             .aggregate([("c", "sum")])
             .rename_columns(["content_md5", "source", "c"])
         )
@@ -5499,11 +5481,11 @@ def docs_dup_rate_by_source(sf_dir: str):
         pid = (string_hash_array(col) % np.uint64(32)).astype(np.int32)
         return tbl.append_column("partition_id", pa.array(pid))
 
-    per_part = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(digest_fold, batch_format="pyarrow")
+    per_part = exchange(
+        ds.map_batches(partial, batch_format="pyarrow").map_batches(tag, batch_format="pyarrow"),
+        "partition_id",
+        digest_fold,
+        32,
     )
     folded = exchange_fold(
         per_part,
@@ -5671,8 +5653,7 @@ def docs_host_stats(sf_dir: str) -> ray.data.Dataset:
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["host", "lang"])
+            tbl.group_by(["host", "lang"])
             .aggregate([("c", "sum"), ("chars", "sum")])
             .rename_columns(["host", "lang", "c", "chars"])
         )
@@ -5695,12 +5676,13 @@ def docs_host_stats(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
+    return exchange(
         _read_docs(sf_dir, ["doc_id", "source", "lang", "n_chars"])
         .map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
+        .map_batches(tag, batch_format="pyarrow"),
+        "partition_id",
+        fold,
+        32,
     )
 
 
@@ -5819,8 +5801,7 @@ def docs_simpson_by_source(sf_dir: str) -> ray.data.Dataset:
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["source", "lang"])
+            tbl.group_by(["source", "lang"])
             .aggregate([("c", "sum")])
             .rename_columns(["source", "lang", "c"])
         )
@@ -5850,12 +5831,13 @@ def docs_simpson_by_source(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
+    return exchange(
         _read_docs(sf_dir, ["source", "lang"])
         .map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
+        .map_batches(tag, batch_format="pyarrow"),
+        "partition_id",
+        fold,
+        32,
     )
 
 
@@ -5916,11 +5898,24 @@ def docs_hapax_ratio(sf_dir: str) -> ray.data.Dataset:
         pid = (string_hash_array(tok) % np.uint64(VOCAB_PARTS)).astype(np.int32)
         return g.append_column("__pid", pa.array(pid))
 
+    def doc_counters(doc_id, n_tokens, n_hapax) -> pa.Table:
+        """(doc_id, n_tokens, n_hapax) counters tagged by doc_id partition,
+        built in the kernel that makes them: a separate tag map over an
+        empty hapax block would emit a block with no schema."""
+        pid = pid_of(doc_id.to_numpy(zero_copy_only=False), 32)
+        return pa.table(
+            {
+                "doc_id": doc_id,
+                "n_tokens": n_tokens,
+                "n_hapax": pa.array(n_hapax, pa.int64()),
+                "partition_id": pa.array(pid),
+            }
+        )
+
     def hapax_per_doc(tbl: pa.Table) -> pa.Table:
         # token co-located: global count = sum over (token, doc) pairs
         t = (
-            tbl.drop_columns(["__pid"])
-            .group_by(["token", "doc_id"])
+            tbl.group_by(["token", "doc_id"])
             .aggregate([("c", "sum")])
             .rename_columns(["token", "doc_id", "c"])
         )
@@ -5932,29 +5927,16 @@ def docs_hapax_ratio(sf_dir: str) -> ray.data.Dataset:
         j = t.join(g, keys=["token"])
         j = j.filter(pc.equal(j.column("gc"), 1))
         # a hapax occurs once in one doc -> (doc_id, 1) counters
-        return pa.table(
-            {
-                "doc_id": j.column("doc_id"),
-                "n_tokens": pa.array(np.zeros(j.num_rows, dtype=np.int64)),
-                "n_hapax": pa.array(np.ones(j.num_rows, dtype=np.int64)),
-            }
-        )
+        zeros = pa.array(np.zeros(j.num_rows, np.int64))
+        return doc_counters(j.column("doc_id"), zeros, np.ones(j.num_rows, np.int64))
 
     def ntok_partial(tbl: pa.Table) -> pa.Table:
-        toks = pc.split_pattern(tbl.column("text"), " ")
-        nl = pc.list_value_length(toks).cast(pa.int64())
-        return pa.table(
-            {
-                "doc_id": tbl.column("doc_id"),
-                "n_tokens": nl,
-                "n_hapax": pa.array(np.zeros(tbl.num_rows, dtype=np.int64)),
-            }
-        )
+        nl = pc.list_value_length(pc.split_pattern(tbl.column("text"), " ")).cast(pa.int64())
+        return doc_counters(tbl.column("doc_id"), nl, np.zeros(tbl.num_rows, np.int64))
 
     def finalize(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by("doc_id")
+            tbl.group_by("doc_id")
             .aggregate([("n_tokens", "sum"), ("n_hapax", "sum")])
             .rename_columns(["doc_id", "n_tokens", "n_hapax"])
         )
@@ -5970,23 +5952,12 @@ def docs_hapax_ratio(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    def tag_doc(tbl: pa.Table) -> pa.Table:
-        pid = pid_of(tbl.column("doc_id").to_numpy(zero_copy_only=False), 32)
-        return tbl.append_column("partition_id", pa.array(pid))
-
     docs = _read_docs(sf_dir, ["doc_id", "text"])
-    hapax = (
-        docs.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(hapax_per_doc, batch_format="pyarrow")
+    hapax = exchange(
+        docs.map_batches(pair_partial, batch_format="pyarrow"), "__pid", hapax_per_doc, VOCAB_PARTS
     )
     ntok = docs.map_batches(ntok_partial, batch_format="pyarrow")
-    return (
-        ntok.union(hapax)
-        .map_batches(tag_doc, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(finalize, batch_format="pyarrow")
-    )
+    return exchange(ntok.union(hapax), "partition_id", finalize, 32)
 
 
 DOCS_HAPAX_RATIO_SQL = """
@@ -6342,12 +6313,7 @@ def trigram_novelty(sf_dir: str) -> ray.data.Dataset:
         )
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(grams, batch_format="pyarrow")
-    ds = ds.groupby("__pid").map_groups(
-        lambda t: per_gram(t.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
-    return ds.groupby("__pid2").map_groups(
-        lambda t: per_doc(t.drop_columns(["__pid2"])), batch_format="pyarrow"
-    )
+    return exchange(exchange(ds, "__pid", per_gram, P), "__pid2", per_doc, P)
 
 
 TRIGRAM_NOVELTY_SQL = """
@@ -6422,7 +6388,7 @@ def label_top_terms(sf_dir: str, k: int = LABEL_TOP_TERMS_K) -> ray.data.Dataset
     toks = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
         doc_tokens, batch_format="pyarrow"
     )
-    emb = ray.data.read_parquet(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label"])
+    emb = read_table([f"{sf_dir}/embeddings.parquet"], ["vec_id", "label"])
     joined = copartitioned_equijoin(
         toks,
         emb,
@@ -6443,17 +6409,14 @@ def label_top_terms(sf_dir: str, k: int = LABEL_TOP_TERMS_K) -> ray.data.Dataset
         pid = (string_hash_array(c.column("tok").combine_chunks()) % np.uint64(P)).astype(np.int32)
         return c.append_column("__pidc", pa.array(pid))
 
-    def count_final(tbl: pa.Table) -> pa.Table:
-        t = tbl.drop_columns(["__pidc"])
+    def count_final(t: pa.Table) -> pa.Table:
         c = t.group_by(["label", "tok"]).aggregate([("df", "sum")])
         return c.rename_columns(["label", "tok", "df"]).set_column(
             2, "df", c.column("df_sum").cast(pa.int64())
         )
 
-    counts = (
-        joined.map_batches(count_partial, batch_format="pyarrow")
-        .groupby("__pidc")
-        .map_groups(count_final, batch_format="pyarrow")
+    counts = exchange(
+        joined.map_batches(count_partial, batch_format="pyarrow"), "__pidc", count_final, P
     )
     return grouped_topk(counts, key="label", order_col="df", tiebreak="tok", k=k)
 
@@ -6706,12 +6669,7 @@ def rake_keywords(sf_dir: str, k: int = RAKE_TOPK) -> ray.data.Dataset:
         )
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(stage1, batch_format="pyarrow")
-    ds = ds.groupby("__pid").map_groups(
-        lambda t: word_join(t.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
-    ds = ds.groupby("__pid2").map_groups(
-        lambda t: phrase_final(t.drop_columns(["__pid2"])), batch_format="pyarrow"
-    )
+    ds = exchange(exchange(ds, "__pid", word_join, P), "__pid2", phrase_final, P)
 
     def topk_fold(tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas().sort_values(
@@ -6886,8 +6844,7 @@ def template_groups(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    def finish(tbl: pa.Table) -> pa.Table:
-        t = tbl.drop_columns(["__pid"])
+    def finish(t: pa.Table) -> pa.Table:
         doc = t.column("doc_id").to_numpy(zero_copy_only=False)
         sk = t.column("skeleton_md5")
         if isinstance(sk, pa.ChunkedArray):
@@ -6906,7 +6863,7 @@ def template_groups(sf_dir: str) -> ray.data.Dataset:
         )
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(skel, batch_format="pyarrow")
-    return ds.groupby("__pid").map_groups(finish, batch_format="pyarrow")
+    return exchange(ds, "__pid", finish, TEMPLATE_PARTS)
 
 
 TEMPLATE_GROUPS_SQL = """
@@ -7085,8 +7042,7 @@ def token_position_profile(sf_dir: str) -> ray.data.Dataset:
         )
         return g.append_column("__pid", pa.array(pid))
 
-    def finish(tbl: pa.Table) -> pa.Table:
-        t = tbl.drop_columns(["__pid"])
+    def finish(t: pa.Table) -> pa.Table:
         g = t.group_by(["token"]).aggregate([("n", "sum"), ("s", "sum")])
         n = g.column("n_sum").to_numpy().astype(np.int64)
         s = g.column("s_sum").to_numpy().astype(np.int64)
@@ -7100,7 +7056,7 @@ def token_position_profile(sf_dir: str) -> ray.data.Dataset:
         )
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(partial, batch_format="pyarrow")
-    return ds.groupby("__pid").map_groups(finish, batch_format="pyarrow")
+    return exchange(ds, "__pid", finish, 32)
 
 
 TOKEN_POSITION_SQL = f"""
@@ -7170,7 +7126,7 @@ def token_typo_pairs(sf_dir: str) -> ray.data.Dataset:
         return pa.table({"token": toks, "__pid": pa.array(pid)})
 
     def variants(tbl: pa.Table) -> pa.Table:
-        toks = pc.unique(tbl.drop_columns(["__pid"]).column("token"))
+        toks = pc.unique(tbl.column("token"))
         out_v, out_t = [], []
         for t in toks.to_pylist():  # vocab-sized, not corpus-sized
             seen = {t}
@@ -7189,8 +7145,7 @@ def token_typo_pairs(sf_dir: str) -> ray.data.Dataset:
             {"variant": va, "token": pa.array(out_t, pa.string()), "__pid2": pa.array(pid)}
         )
 
-    def candidate_pairs(tbl: pa.Table) -> pa.Table:
-        t = tbl.drop_columns(["__pid2"])
+    def candidate_pairs(t: pa.Table) -> pa.Table:
         var = t.column("variant")
         if isinstance(var, pa.ChunkedArray):
             var = var.combine_chunks()
@@ -7230,16 +7185,15 @@ def token_typo_pairs(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    def dedup_pairs(tbl: pa.Table) -> pa.Table:
-        t = tbl.drop_columns(["__pid3"])
+    def dedup_pairs(t: pa.Table) -> pa.Table:
         return t.group_by(["token_a", "token_b"]).aggregate([("dist", "min")]).rename_columns(
             ["token_a", "token_b", "dist"]
         )
 
     ds = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(vocab_partial, batch_format="pyarrow")
-    ds = ds.groupby("__pid").map_groups(variants, batch_format="pyarrow")
-    ds = ds.groupby("__pid2").map_groups(candidate_pairs, batch_format="pyarrow")
-    return ds.groupby("__pid3").map_groups(dedup_pairs, batch_format="pyarrow")
+    ds = exchange(ds, "__pid", variants, P)
+    ds = exchange(ds, "__pid2", candidate_pairs, P)
+    return exchange(ds, "__pid3", dedup_pairs, P)
 
 
 TOKEN_TYPO_SQL = f"""
@@ -7342,7 +7296,6 @@ def chi2_keywords(sf_dir: str) -> ray.data.Dataset:
     n_total = int(sum(totals.values()))
 
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         g = tbl.group_by(["source", "token"]).aggregate([("cnt", "sum")]).rename_columns(
             ["source", "token", "cnt"]
         )
@@ -7392,9 +7345,7 @@ def chi2_keywords(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    scored = _token_source_counts(sf_dir).groupby("__pid").map_groups(
-        finish, batch_format="pyarrow"
-    )
+    scored = exchange(_token_source_counts(sf_dir), "__pid", finish, TOKSRC_PARTS)
     return grouped_topk(scored, "source", "chi2_1e6", "token", CHI2_TOPK)
 
 
@@ -7439,7 +7390,6 @@ def token_dispersion(sf_dir: str) -> ray.data.Dataset:
     n_total = int(sum(totals.values()))
 
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         g = tbl.group_by(["source", "token"]).aggregate([("cnt", "sum")]).rename_columns(
             ["source", "token", "cnt"]
         )
@@ -7468,9 +7418,7 @@ def token_dispersion(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return _token_source_counts(sf_dir).groupby("__pid").map_groups(
-        finish, batch_format="pyarrow"
-    )
+    return exchange(_token_source_counts(sf_dir), "__pid", finish, TOKSRC_PARTS)
 
 
 TOKEN_DISPERSION_SQL = f"""
@@ -7554,7 +7502,6 @@ def distinct_bigram_ratio(sf_dir: str):
         return out.append_column("__pid", pa.array(pid))
 
     def per_partition(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         g = tbl.group_by(["source", "bigram"]).aggregate([("cnt", "sum")]).rename_columns(
             ["source", "bigram", "cnt"]
         )
@@ -7573,11 +7520,11 @@ def distinct_bigram_ratio(sf_dir: str):
             }
         )
 
-    counters = (
-        _read_docs(sf_dir, ["source", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(per_partition, batch_format="pyarrow")
+    counters = exchange(
+        _read_docs(sf_dir, ["source", "text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        per_partition,
+        BIGRAM_DIVERSITY_PARTS,
     )
 
     def fold(tbl: pa.Table) -> pa.Table:
@@ -7729,7 +7676,6 @@ def bigram_coverage(sf_dir: str):
         )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         de = pc.dictionary_encode(tbl.column("bigram").combine_chunks())
         codes = de.indices.to_numpy(zero_copy_only=False)
         uniq = de.dictionary
@@ -7756,11 +7702,11 @@ def bigram_coverage(sf_dir: str):
         )
         return pa.concat_tables([cand, tot])
 
-    ds = (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(finish, batch_format="pyarrow")
+    ds = exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        finish,
+        BIGRAM_DIVERSITY_PARTS,
     )
     # bounded fold: <= (kmax+1) x parts rows
     df = ds.to_pandas()
@@ -7843,7 +7789,6 @@ def nucleus_by_source(sf_dir: str) -> ray.data.Dataset:
         return out.append_column("__pid", pa.array(pid))
 
     def plan(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         g = tbl.group_by(["source", "q1e6"]).aggregate([("cnt", "sum")]).rename_columns(
             ["source", "q1e6", "cnt"]
         )
@@ -7887,11 +7832,7 @@ def nucleus_by_source(sf_dir: str) -> ray.data.Dataset:
         )
 
     docs = _read_docs(sf_dir, ["doc_id", "source", "text"])
-    plan_tbl_ds = (
-        docs.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(plan, batch_format="pyarrow")
-    )
+    plan_tbl_ds = exchange(docs.map_batches(partial, batch_format="pyarrow"), "__pid", plan, 8)
     # bounded fold: one row per SOURCE (each source is final in one partition)
     plans = plan_tbl_ds.to_pandas()
     q_flip = dict(zip(plans["source"], plans["q_flip"].astype(int)))
@@ -7988,9 +7929,7 @@ BURST_MIN_N = 5
 def token_burstiness(sf_dir: str) -> ray.data.Dataset:
     from ..functions.hashing import string_hash_array
 
-    n_docs = int(
-        ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["doc_id"]).count()
-    )
+    n_docs = int(_read_docs(sf_dir, ["doc_id"]).count())
 
     def partial(tbl: pa.Table) -> pa.Table:
         toks = pc.split_pattern(tbl.column("text"), " ")
@@ -8023,7 +7962,6 @@ def token_burstiness(sf_dir: str) -> ray.data.Dataset:
         )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         g = (
             tbl.group_by("token")
             .aggregate([("df", "sum"), ("n", "sum"), ("ss", "sum")])
@@ -8048,11 +7986,11 @@ def token_burstiness(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(finish, batch_format="pyarrow")
+    return exchange(
+        _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        finish,
+        TOKSRC_PARTS,
     )
 
 

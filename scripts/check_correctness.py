@@ -4,16 +4,21 @@ and a value hash over columns sorted by name.
 
     python scripts/check_correctness.py SF_DIR ['events_*' ...] [--against GATE.json]
 
-Entries are selected by name or glob (all when none is given). --against
-compares each selected entry's status and row count with a saved gate (the
-JSON this script prints) and exits 1 on any difference. Every entry's
-`hash` is the canonical hash of the engine's own output (list cells hashed
-by their bytes), so the JSON of two trees compares entry by entry."""
+Entries are selected by name or glob (all when none is given). Every
+entry's `hash` is the canonical hash of the engine's own output (list cells
+hashed by their bytes), so the JSON of two trees compares entry by entry.
+The reserved key `__run__` records the tree sha, the sf dir and the Ray CPU
+count of the run; the JSON this script prints is a gate file as it stands.
+--against compares each selected entry's status, row count and, where the
+gate entry has one, its hash with a saved gate, and exits 1 on any
+difference; `__run__` is not compared."""
 import argparse
 import fnmatch
 import hashlib
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import duckdb
 import numpy as np
@@ -34,9 +39,11 @@ from ray.data import DataContext
 
 DataContext.get_current().enable_progress_bars = False
 
-sys.path.insert(0, str(__import__("pathlib").Path(__file__).resolve().parents[1]))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
 import __ray_entry__ as ent
 
+RUN_KEY = "__run__"
 TABLES = "region nation customer supplier part orders lineitem events documents embeddings".split()
 
 
@@ -114,16 +121,28 @@ for name, fn in qs.items():
     if rs != os_:
         results[name]["schemas"] = [rs, os_]
 
-print(json.dumps(results, indent=1))
+sha = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"], capture_output=True, text=True)
+run = {
+    "tree_sha": sha.stdout.strip() or None,
+    "sf_dir": SF_DIR,
+    "ray_cpus": int(ray.cluster_resources()["CPU"]),
+}
+print(json.dumps({RUN_KEY: run, **results}, indent=1))
 bad = [k for k, v in results.items() if v["status"] not in ("MATCH", "rows_only")]
 print("BAD:", bad)
 ray.shutdown()
+
+
+def same(v: dict, g: dict) -> bool:
+    """Status, rows and (when the gate has one) hash agree."""
+    if (v["status"], v.get("rows")) != (g["status"], g.get("rows")):
+        return False
+    return "hash" not in g or v.get("hash") == g["hash"]
+
+
 if args.against:
     gate = json.load(open(args.against))
-    differ = [
-        k
-        for k, v in results.items()
-        if k not in gate or (v["status"], v.get("rows")) != (gate[k]["status"], gate[k].get("rows"))
-    ]
+    gate.pop(RUN_KEY, None)
+    differ = [k for k, v in results.items() if k not in gate or not same(v, gate[k])]
     print(f"AGAINST {args.against}: {len(results) - len(differ)} same, differ: {differ}")
     sys.exit(1 if differ else 0)

@@ -164,8 +164,10 @@ def test_no_per_block_take_all_outside_helper():
 
 
 def test_one_keyed_exchange_and_one_partition_hash():
-    """grep-clean contract: events.py and fold.py route every keyed shuffle
-    through stages.exchange.exchange (no Ray groupby().map_groups), and the
+    """grep-clean contract: events.py, text_analysis.py and fold.py route
+    every keyed shuffle through stages.exchange.exchange (no Ray
+    groupby().map_groups), text_analysis.py reads through
+    stages.exchange.read_table (no direct ray.data.read_parquet), and the
     golden-ratio partition hash `>> np.uint64(33)` is written out only in
     stages.exchange.pid_of."""
     import ast
@@ -174,10 +176,13 @@ def test_one_keyed_exchange_and_one_partition_hash():
 
     pkg = Path(__file__).resolve().parents[1] / "audio_feature_extraction_ray"
     bad = []
-    for rel in ("pipelines/events.py", "stages/fold.py"):
+    for rel in ("pipelines/events.py", "pipelines/text_analysis.py", "stages/fold.py"):
         for i, line in enumerate((pkg / rel).read_text().splitlines(), 1):
             if ".map_groups(" in line:
                 bad.append(f"{rel}:{i}: {line.strip()}")
+    for i, line in enumerate((pkg / "pipelines/text_analysis.py").read_text().splitlines(), 1):
+        if "ray.data.read_parquet(" in line:
+            bad.append(f"pipelines/text_analysis.py:{i}: {line.strip()}")
     tree = ast.parse((pkg / "stages/exchange.py").read_text())
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "pid_of"]
     pid_lines = range(fn.lineno, fn.end_lineno + 1)
@@ -701,10 +706,10 @@ def test_token_topk_rescore_sketch_path_exact(ray_session, tmp_path):
     assert ta._last_topk_path["path"] == "sketch_rescore"
 
 
-def test_token_topk_rescore_flat_falls_back_exact(ray_session, tmp_path):
-    """Near-uniform corpus: no candidate can beat the subtracted-mass bound,
-    so the operator must take the exact-fallback path — and still match the
-    naive global Counter exactly."""
+def test_token_topk_rescore_flat_falls_back_exact(ray_session, tmp_path, split_reads):
+    """Near-uniform corpus read as many batches: no candidate can beat the
+    summed subtracted-mass bound, so the operator must take the
+    exact-fallback path — and still match the naive global Counter exactly."""
     from audio_feature_extraction_ray.pipelines import text_analysis as ta
 
     rng = np.random.default_rng(29)
