@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import string_hash_strong
-from ..stages.exchange import pid_of
+from ..stages.exchange import exchange, pid_of, read_table
 
 PAIR_SHIFT = np.int64(25)  # symbol ids < 2^25 (alphabet + merges)
 WORD_PARTS = 16
@@ -44,7 +44,7 @@ N_MERGES = 12
 
 
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return read_table([f"{sf_dir}/documents.parquet"], columns)
 
 
 def word_counts(sf_dir: str, parts: int = WORD_PARTS) -> ray.data.Dataset:
@@ -67,15 +67,11 @@ def word_counts(sf_dir: str, parts: int = WORD_PARTS) -> ray.data.Dataset:
         return pa.table({"word": w, "cnt": agg.column("cnt_sum"), "__pid": pa.array(pid)})
 
     def fold(tbl: pa.Table) -> pa.Table:
-        agg = tbl.drop_columns(["__pid"]).group_by(["word"]).aggregate([("cnt", "sum")])
+        agg = tbl.group_by(["word"]).aggregate([("cnt", "sum")])
         return agg.rename_columns(["word", "cnt"])
 
-    return (
-        _read_docs(sf_dir, ["text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    partials = _read_docs(sf_dir, ["text"]).map_batches(partial, batch_format="pyarrow")
+    return exchange(partials, "__pid", fold, parts)
 
 
 def _alphabet(words: ray.data.Dataset) -> list[str]:
@@ -163,11 +159,11 @@ def _pair_partial(tbl: pa.Table, parts: int = PAIR_PARTS) -> pa.Table:
 
 
 def _pair_top1(tbl: pa.Table) -> pa.Table:
-    """Per-partition exact pair sums -> single best (count desc, key asc)."""
+    """Per-block exact pair sums -> single best (count desc, key asc); the
+    block's best beats every pair it owns, so the global best is among the
+    blocks' bests."""
     pair = tbl.column("pair").to_numpy(zero_copy_only=False)
     c = tbl.column("c").to_numpy(zero_copy_only=False)
-    if pair.size == 0:
-        return pa.table({"pair": pa.array([], pa.int64()), "c": pa.array([], pa.int64())})
     uk, inv = np.unique(pair, return_inverse=True)
     sums = np.bincount(inv, weights=c.astype(np.float64)).astype(np.int64)
     best = np.lexsort((uk, -sums))[0]
@@ -247,15 +243,10 @@ def bpe_train(sf_dir: str, n_merges: int = N_MERGES, return_encoder: bool = Fals
     merges = []
     id_merges: list[tuple[int, int, int]] = []
     for rank in range(n_merges):
-        cands = (
-            table.map_batches(
-                functools.partial(_pair_partial, parts=pair_parts),
-                batch_format="pyarrow",
-            )
-            .groupby("__pid")
-            .map_groups(lambda g: _pair_top1(g.drop_columns(["__pid"])), batch_format="pyarrow")
-            .take_all()
-        )  # <= PAIR_PARTS rows
+        partials = table.map_batches(
+            functools.partial(_pair_partial, parts=pair_parts), batch_format="pyarrow"
+        )
+        cands = exchange(partials, "__pid", _pair_top1, pair_parts).take_all()  # <= PAIR_PARTS rows
         if not cands:
             break
         best = min(cands, key=lambda r: (-int(r["c"]), int(r["pair"])))

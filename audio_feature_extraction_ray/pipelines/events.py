@@ -6361,13 +6361,9 @@ def session_concurrency(sf_dir: str):
         CONC_PARTITIONS,
         order=("__pid", "ts", "kind"),
     ).materialize()
-    from ray.data.aggregate import Max
+    from ..stages.fold import pid_totals
 
-    # bounded: <= CONC_PARTITIONS + 1 rows (one per __pid group)
-    tot_rows = scanned.groupby("__pid").aggregate(Max("__local_tot", alias_name="t")).take_all()
-    totals = np.zeros(CONC_PARTITIONS + 1, dtype=np.int64)
-    for r in tot_rows:
-        totals[int(r["__pid"])] = int(r["t"])
+    totals = pid_totals(scanned, CONC_PARTITIONS + 1, "__local_tot", np.maximum)
     offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
 
     def reduce_partial(tbl: pa.Table) -> pa.Table:

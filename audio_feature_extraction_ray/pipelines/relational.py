@@ -17,11 +17,11 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
-from ..stages.exchange import pid_of
+from ..stages.exchange import exchange, pid_of, read_table
 
 
 def _read(sf_dir: str, name: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/{name}.parquet", columns=columns)
+    return read_table([f"{sf_dir}/{name}.parquet"], columns)
 
 
 def _cents(col) -> np.ndarray:
@@ -585,11 +585,7 @@ def orders_percent_rank(sf_dir: str, num_partitions: int = 32) -> ray.data.Datas
         out = tbl.take(pa.array(idx))
         return out.append_column("pct_rank", pa.array(pr, pa.float64()))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(tag, batch_format="pyarrow"), "__pid", kernel, num_partitions)
 
 
 ORDERS_PERCENT_RANK_SQL = """
@@ -937,12 +933,9 @@ def q10_returned_items(sf_dir: str, num_partitions: int = 32):
             }
         )
 
-    cands = (
-        joined.map_batches(cust_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: topk_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .take_all()  # <= num_partitions x 20 rows
-    )
+    partials = joined.map_batches(cust_partial, batch_format="pyarrow")
+    # a block's top 20 holds every global top-20 customer it owns
+    cands = exchange(partials, "__pid", topk_kernel, num_partitions).take_all()
     df = pd.DataFrame(cands).sort_values(
         ["rev4", "c_custkey"], ascending=[False, True]
     ).head(20)
@@ -1182,11 +1175,7 @@ def orders_ntile(sf_dir: str, num_partitions: int = 32) -> ray.data.Dataset:
         out = out.append_column("tile", pa.array(tile, pa.int64()))
         return out.append_column("cume", pa.array(rn / n, pa.float64()))
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(tag, batch_format="pyarrow"), "__pid", kernel, num_partitions)
 
 
 ORDERS_NTILE_SQL = f"""
@@ -1362,7 +1351,6 @@ def q4_order_priority(sf_dir: str, num_partitions: int = 32):
     def li_fold(tbl: pa.Table) -> pa.Table:
         # global per-orderkey max: the batch combiner is per-block only, and
         # the join must see ONE dim row per key (m:n would overcount EXISTS)
-        tbl = tbl.drop_columns(["__pid"])
         ok = tbl.column("lk").to_numpy()
         sd = tbl.column("max_ship").to_numpy()
         uniq, inv = np.unique(ok, return_inverse=True)
@@ -1372,12 +1360,13 @@ def q4_order_priority(sf_dir: str, num_partitions: int = 32):
             {"lk": pa.array(uniq, pa.int64()), "max_ship": pa.array(mx, pa.int64())}
         )
 
-    li = (
+    li = exchange(
         _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
         .map_batches(li_side, batch_format="pyarrow")
-        .map_batches(li_route, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(li_fold, batch_format="pyarrow")
+        .map_batches(li_route, batch_format="pyarrow"),
+        "__pid",
+        li_fold,
+        num_partitions,
     )
     joined = copartitioned_equijoin(
         orders,
@@ -1623,16 +1612,14 @@ def q15_top_supplier(sf_dir: str, num_partitions: int = 16):
         )
 
     def fold(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         sk = tbl.column("l_suppkey").to_numpy()
         rv = tbl.column("rev4").to_numpy()
         uniq, inv = np.unique(sk, return_inverse=True)
         sums = np.zeros(uniq.size, dtype=np.int64)
         np.add.at(sums, inv, rv)
-        # per-partition winner(s): keys are partition-exclusive, so the
-        # global max is the max over <= P candidate rows
-        mx = sums.max() if sums.size else 0
-        m = sums == mx
+        # per-block winner(s): keys are block-exclusive, so the global max
+        # is the max over <= P candidate rows
+        m = sums == sums.max()
         return pa.table(
             {"l_suppkey": pa.array(uniq[m], pa.int64()), "rev4": pa.array(sums[m], pa.int64())}
         )
@@ -1640,7 +1627,7 @@ def q15_top_supplier(sf_dir: str, num_partitions: int = 16):
     li = _read(
         sf_dir, "lineitem", ["l_suppkey", "l_shipdate", "l_extendedprice", "l_discount"]
     ).map_batches(partial, batch_format="pyarrow")
-    cands = li.groupby("__pid").map_groups(fold, batch_format="pyarrow").take_all()  # <= P rows
+    cands = exchange(li, "__pid", fold, num_partitions).take_all()  # <= P rows
     mx = max(int(r["rev4"]) for r in cands)
     winners = sorted(int(r["l_suppkey"]) for r in cands if int(r["rev4"]) == mx)
     names = {
@@ -1725,11 +1712,13 @@ def q18_big_orders(sf_dir: str, num_partitions: int = Q18_PARTS) -> ray.data.Dat
             }
         )
 
-    big = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-        .map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: fold_filter(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    big = exchange(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
+            qty_partial, batch_format="pyarrow"
+        ),
+        "__pid",
+        fold_filter,
+        num_partitions,
     )
     # the HAVING survivors: a declared-small set (threshold selectivity),
     # safe to broadcast — the two base tables never shuffle
@@ -1836,12 +1825,8 @@ def q13_order_distribution(sf_dir: str, num_partitions: int = Q13_PARTS):
             }
         )
 
-    parts = (
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: to_hist(g.drop_columns(["__pid"])), batch_format="pyarrow")
-    )
+    partials = _read(sf_dir, "orders", ["o_custkey"]).map_batches(partial, batch_format="pyarrow")
+    parts = exchange(partials, "__pid", to_hist, num_partitions)
 
     def fold(tbl: pa.Table) -> pa.Table:
         return tbl.group_by("c_count").aggregate([("custdist", "sum")]).rename_columns(
@@ -2042,10 +2027,8 @@ def q17_small_qty_revenue(sf_dir: str, num_partitions: int = 32):
         )
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
-    per_part = (
-        li.map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: qty_fold(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    per_part = exchange(
+        li.map_batches(qty_partial, batch_format="pyarrow"), "__pid", qty_fold, num_partitions
     )
     # per-part thresholds: bounded by the brand's part count — broadcast back
     th = gather_small_side(per_part)
@@ -2379,11 +2362,13 @@ def q16_supplier_part_counts(sf_dir: str, num_partitions: int = Q16_PARTS):
         out = df.groupby("attrs", as_index=False).size().rename(columns={"size": "supplier_cnt"})
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    parts_ds = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
-        .map_batches(pair_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: count_unique(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    parts_ds = exchange(
+        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
+            pair_partial, batch_format="pyarrow"
+        ),
+        "__pid",
+        count_unique,
+        num_partitions,
     )
 
     folded = exchange_fold(
@@ -2716,10 +2701,14 @@ def q2_min_cost_supplier(sf_dir: str, num_partitions: int = 32):
         return g.filter(pa.array(mp == pmin[inv]))
 
     winners = gather_small_side(
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"])
-        .map_batches(min_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: min_fold(g.drop_columns(["__pid"])), batch_format="pyarrow")
+        exchange(
+            _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"]).map_batches(
+                min_partial, batch_format="pyarrow"
+            ),
+            "__pid",
+            min_fold,
+            num_partitions,
+        )
     )
     # attach supplier attrs driver-side: both sides are dimension-bounded
     sk_all = sup.column("s_suppkey").to_numpy()
@@ -2812,19 +2801,16 @@ def q11_important_parts(sf_dir: str, num_partitions: int = 32):
             }
         )
 
-    per_part = (
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice", "l_quantity"])
-        .map_batches(val_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: g.drop_columns(["__pid"])
-            .group_by("p_partkey")
-            .aggregate([("value_c", "sum")])
-            .rename_columns(["p_partkey", "value_c"]),
-            batch_format="pyarrow",
-        )
-        .materialize()  # bounded: one row per distinct part (dimension-sized)
-    )
+    per_part = exchange(
+        _read(
+            sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice", "l_quantity"]
+        ).map_batches(val_partial, batch_format="pyarrow"),
+        "__pid",
+        lambda t: t.group_by("p_partkey")
+        .aggregate([("value_c", "sum")])
+        .rename_columns(["p_partkey", "value_c"]),
+        num_partitions,
+    ).materialize()  # bounded: one row per distinct part (dimension-sized)
     tot_tbl = exchange_fold(
         per_part.map_batches(
             lambda t: pa.table(
@@ -2951,10 +2937,14 @@ def q20_share_suppliers(sf_dir: str, num_partitions: int = 32):
         return pa.table({"s_suppkey": pa.array(sk, pa.int64())})
 
     qual = gather_small_side(
-        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"])
-        .map_batches(qty_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: share_fold(g.drop_columns(["__pid"])), batch_format="pyarrow")
+        exchange(
+            _read(
+                sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"]
+            ).map_batches(qty_partial, batch_format="pyarrow"),
+            "__pid",
+            share_fold,
+            num_partitions,
+        )
     )
     qset = np.unique(qual.column("s_suppkey").to_numpy())
     sks, sup, _nn = _region_suppliers(sf_dir, "AFRICA")
@@ -3092,9 +3082,12 @@ def q21_waiting_suppliers(sf_dir: str, num_partitions: int = 32):
         return pa.table({"s_suppkey": pa.array(su, pa.int64()), "numwait": pa.array(s, pa.int64())})
 
     per_supp = exchange_fold(
-        joined.map_batches(late_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: wait_fold(g.drop_columns(["__pid"])), batch_format="pyarrow"),
+        exchange(
+            joined.map_batches(late_partial, batch_format="pyarrow"),
+            "__pid",
+            wait_fold,
+            num_partitions,
+        ),
         lambda t: (
             t.group_by("s_suppkey")
             .aggregate([("numwait", "sum")])
@@ -3454,14 +3447,11 @@ def part_affinity_pairs(sf_dir: str, num_partitions: int = 32):
             [pairs.take(pa.array(order)), g.filter(pa.array(~is_pair))]
         )
 
-    staged = (
-        li.map_batches(op_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: pair_fold(g.drop_columns(["__pid"])), batch_format="pyarrow")
-        .groupby("__pid2")
-        .map_groups(lambda g: final_fold(g.drop_columns(["__pid2"])), batch_format="pyarrow")
-        .materialize()  # consumed twice below; rows stay distributed
+    pairs = exchange(
+        li.map_batches(op_partial, batch_format="pyarrow"), "__pid", pair_fold, num_partitions
     )
+    # consumed twice below; rows stay distributed
+    staged = exchange(pairs, "__pid2", final_fold, num_partitions).materialize()
     from ..stages.join import gather_small_side
 
     # phase 1: gather ONLY the bounded rows — per-partition top-K pairs and
@@ -3546,7 +3536,6 @@ def orders_gap_stats(sf_dir: str, num_partitions: int = 32) -> ray.data.Dataset:
         return tbl.append_column("partition_id", pa.array(pid))
 
     def fold(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["partition_id"])
         cust = tbl.column("o_custkey").to_numpy(zero_copy_only=False)
         tu = tbl.column("o_orderdate").cast(pa.int64()).to_numpy(zero_copy_only=False)
         key = tbl.column("o_orderkey").to_numpy(zero_copy_only=False)
@@ -3582,12 +3571,9 @@ def orders_gap_stats(sf_dir: str, num_partitions: int = 32) -> ray.data.Dataset:
             }
         )
 
-    return (
-        _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
+    tagged = orders.map_batches(tag, batch_format="pyarrow")
+    return exchange(tagged, "partition_id", fold, num_partitions)
 
 
 ORDERS_GAP_STATS_SQL = """
@@ -3655,8 +3641,7 @@ def orders_monthly_volume(sf_dir: str, num_partitions: int = 32) -> ray.data.Dat
 
     def fold(tbl: pa.Table) -> pa.Table:
         t = (
-            tbl.drop_columns(["partition_id"])
-            .group_by(["y", "m", "custkey"])
+            tbl.group_by(["y", "m", "custkey"])
             .aggregate([("n", "sum"), ("cents", "sum")])
             .rename_columns(["y", "m", "custkey", "n", "cents"])
         )
@@ -3677,12 +3662,13 @@ def orders_monthly_volume(sf_dir: str, num_partitions: int = 32) -> ray.data.Dat
             }
         )
 
-    return (
+    return exchange(
         _read(sf_dir, "orders", ["o_custkey", "o_totalprice", "o_orderdate"])
         .map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(fold, batch_format="pyarrow")
+        .map_batches(tag, batch_format="pyarrow"),
+        "partition_id",
+        fold,
+        num_partitions,
     )
 
 
@@ -3725,16 +3711,11 @@ def order_fanout_hist(sf_dir: str):
             }
         )
 
-    per_key = (
-        li.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(
-            lambda g: g.drop_columns(["__pid"])
-            .group_by("k")
-            .aggregate([("n", "sum")])
-            .rename_columns(["k", "n"]),
-            batch_format="pyarrow",
-        )
+    per_key = exchange(
+        li.map_batches(partial, batch_format="pyarrow"),
+        "__pid",
+        lambda t: t.group_by("k").aggregate([("n", "sum")]).rename_columns(["k", "n"]),
+        32,
     )
 
     def hist_partial(tbl: pa.Table) -> pa.Table:

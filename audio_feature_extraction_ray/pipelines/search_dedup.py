@@ -10,7 +10,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..stages import ann, dedup
-from ..stages.exchange import pid_of
+from ..stages.exchange import exchange, pid_of
 
 N_QUERIES = 8
 TOP_K = 5
@@ -158,11 +158,7 @@ def docs_first_per_key(sf_dir: str) -> ray.data.Dataset:
         out = tbl if head.all() else tbl.filter(pa.array(head))
         return out.drop_columns(["__key", "__pid"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(keep_first, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(partial, batch_format="pyarrow"), "__pid", keep_first, P)
 
 
 DOCS_FIRST_PER_KEY_SQL = """
@@ -867,8 +863,6 @@ def embedding_lsh_pairs(
             {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
              "cos_sim": pa.array([], pa.float64())}
         )
-        if tbl.num_rows == 0:
-            return empty
         tbl = tbl.sort_by([("band", "ascending"), ("vec_id", "ascending")])
         band = tbl.column("band").to_numpy()
         ids = tbl.column("vec_id").to_numpy()
@@ -889,34 +883,8 @@ def embedding_lsh_pairs(
             }
         )
 
-    cand = band_rows.groupby("__pid").map_groups(
-        lambda g: pairs_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
-
-    def tag_by_a(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("a").to_numpy()
-        return tbl.append_column(
-            "__pid", pa.array(pid_of(a.view(np.uint64), num_partitions))
-        )
-
-    def distinct_kernel(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.table(
-                {"a": pa.array([], pa.int64()), "b": pa.array([], pa.int64()),
-                 "cos_sim": pa.array([], pa.float64())}
-            )
-        a = tbl.column("a").to_numpy()
-        b = tbl.column("b").to_numpy()
-        order = np.lexsort((b, a))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (a[order][1:] != a[order][:-1]) | (b[order][1:] != b[order][:-1])
-        return tbl.take(pa.array(np.sort(order[first])))
-
-    return (
-        cand.map_batches(tag_by_a, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: distinct_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow")
-    )
+    cand = exchange(band_rows, "__pid", pairs_kernel, num_partitions)
+    return dedup.distinct_pairs(cand, num_partitions)
 
 
 EMB_LSH_PLANT_JITTER = 0.02
@@ -1041,7 +1009,6 @@ def ann_filtered(sf_dir: str) -> ray.data.Dataset:
     )
 
     def kernel(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
         lbl = tbl.column("label").to_numpy(zero_copy_only=False).astype(np.int64)
         q_rows, n_rows_, s_rows = [], [], []
@@ -1088,7 +1055,7 @@ def ann_filtered(sf_dir: str) -> ray.data.Dataset:
     tagged = emb.map_batches(tag(0), batch_format="pyarrow").union(
         emb.map_batches(tag(1), batch_format="pyarrow")
     )
-    return tagged.groupby("__pid").map_groups(kernel, batch_format="pyarrow")
+    return exchange(tagged, "__pid", kernel, ANN_FILTER_PARTS)
 
 
 ANN_FILTERED_SQL = f"""
@@ -1453,6 +1420,8 @@ DIST_HIST_PARTS = 16
 
 
 def embedding_dist_hist(sf_dir: str):
+    import pandas as pd
+
     from ..functions.hashing import avalanche64
     from ..stages.fold import exchange_fold
 
@@ -1491,11 +1460,8 @@ def embedding_dist_hist(sf_dir: str):
             {"bin": pa.array(uniq, pa.int64()), "n": pa.array(cnt.astype(np.int64), pa.int64())}
         )
 
-    hist = (
-        ds.map_batches(route, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: pair_hist(g.drop_columns(["__pid"])), batch_format="pyarrow")
-    )
+    routed = ds.map_batches(route, batch_format="pyarrow")
+    hist = exchange(routed, "__pid", pair_hist, DIST_HIST_PARTS)
     folded = exchange_fold(
         hist,
         lambda t: t.group_by("bin").aggregate([("n", "sum")]).rename_columns(["bin", "n"]),
@@ -1967,15 +1933,10 @@ def softdedup_weights(sf_dir: str) -> ray.data.Dataset:
         )
 
     def size_finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        g = tbl.group_by("label").aggregate([("sz", "sum")]).rename_columns(["label", "sz"])
-        return g
+        return tbl.group_by("label").aggregate([("sz", "sum")]).rename_columns(["label", "sz"])
 
-    sizes = (
-        labels.map_batches(size_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(size_finish, batch_format="pyarrow")
-    )
+    partials = labels.map_batches(size_partial, batch_format="pyarrow")
+    sizes = exchange(partials, "__pid", size_finish, 16)
     node_sz = copartitioned_equijoin(
         labels,
         sizes,
@@ -2215,7 +2176,6 @@ TFIDF_COS_TAU_1E6 = 900_000
 
 
 def tfidf_cosine_pairs(sf_dir: str):
-    import pandas as pd
     import pyarrow.compute as pc
 
     docs = _docs(sf_dir).map_batches(
@@ -2223,16 +2183,12 @@ def tfidf_cosine_pairs(sf_dir: str):
         batch_format="pyarrow",
     )
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("doc_id")
-        ids = df["doc_id"].to_numpy()
+    def fn(tbl: pa.Table) -> pa.Table:
+        # the whole capped sample in one call: idf needs every document
+        tbl = tbl.sort_by("doc_id")
+        ids = tbl.column("doc_id").to_numpy()
         n = len(ids)
-        empty = pd.DataFrame({"a": [], "b": [], "cos_1e6": []}).astype(
-            {"a": "int64", "b": "int64", "cos_1e6": "int64"}
-        )
-        if n < 2:
-            return empty
-        texts = pa.array([t if isinstance(t, str) else "" for t in df["text"]], pa.string())
+        texts = pc.fill_null(tbl.column("text"), "").combine_chunks()
         tok_lists = pc.split_pattern(texts, " ")
         ntok = pc.list_value_length(tok_lists).to_numpy(zero_copy_only=False).astype(np.int64)
         flat = pc.list_flatten(tok_lists)
@@ -2263,21 +2219,15 @@ def tfidf_cosine_pairs(sf_dir: str):
         cos = dot[ii, jj] / (np.sqrt(n2[ii]) * np.sqrt(n2[jj]))
         c6 = np.floor(cos * 1e6 + 0.5).astype(np.int64)
         keep = c6 >= TFIDF_COS_TAU_1E6
-        return pd.DataFrame(
+        return pa.table(
             {
-                "a": ids[ii[keep]].astype(np.int64),
-                "b": ids[jj[keep]].astype(np.int64),
-                "cos_1e6": c6[keep],
+                "a": pa.array(ids[ii[keep]], pa.int64()),
+                "b": pa.array(ids[jj[keep]], pa.int64()),
+                "cos_1e6": pa.array(c6[keep], pa.int64()),
             }
         )
 
-    ds = docs.map_batches(
-        lambda t: t.append_column("_g", pa.array(np.zeros(t.num_rows, dtype=np.int32))),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("_g").map_groups(
-        lambda g: fn(g.drop(columns=["_g"])), batch_format="pandas"
-    )
+    return exchange(docs, "__one", fn, 1)
 
 
 TFIDF_COSINE_PAIRS_SQL = f"""

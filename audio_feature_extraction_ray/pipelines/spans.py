@@ -19,8 +19,8 @@ dictionary-encode + bincount, then a second small exchange on doc_id to fold
 per-doc partials. Gram strings cross the wire once per distinct
 (gram, doc, batch) — the combiner bounds exchange volume by distinct grams,
 not positions. Nothing materializes on the driver; both exchanges are
-bounded-partition `groupby("__pid")` exchanges, the idiom every other wide op
-in this repo uses. Exactness: grouping is by the gram STRING (dictionary
+bounded-partition `stages.exchange.exchange` calls on a `__pid` tag, the idiom
+every other wide op in this repo uses. Exactness: grouping is by the gram STRING (dictionary
 codes), never by a lossy hash — the 64-bit hash only routes.
 """
 
@@ -33,6 +33,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from ..functions.hashing import string_hash_strong
+from ..stages.exchange import exchange, read_table
 
 SPAN_K = 8  # tokens per span (the exact-substring-dedup shingle width)
 GRAM_PARTS = 32  # gram-keyed exchange partitions
@@ -41,7 +42,7 @@ EVAL_MOD, EVAL_REM = 29, 3  # doc_id % 29 == 3 -> held-out eval subset
 
 
 def _read_docs(sf_dir: str, columns=None) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return read_table([f"{sf_dir}/documents.parquet"], columns)
 
 
 def _gram_pairs(tbl: pa.Table, k: int) -> tuple[pa.Array, np.ndarray, np.ndarray]:
@@ -104,15 +105,11 @@ def _fold_by_doc(partials: ray.data.Dataset, cols: dict[str, str]) -> ray.data.D
         return tbl.append_column("__pid2", pa.array(pid))
 
     def fold(tbl: pa.Table) -> pa.Table:
-        agg = tbl.drop_columns(["__pid2"]).group_by(["doc_id"]).aggregate(
-            [(c, "sum") for c in cols]
-        )
+        agg = tbl.group_by(["doc_id"]).aggregate([(c, "sum") for c in cols])
         return agg.rename_columns(["doc_id"] + list(cols))
 
-    return (
-        partials.map_batches(route, batch_format="pyarrow")
-        .groupby("__pid2")
-        .map_groups(fold, batch_format="pyarrow")
+    return exchange(
+        partials.map_batches(route, batch_format="pyarrow"), "__pid2", fold, DOC_PARTS
     )
 
 
@@ -129,10 +126,6 @@ def dup_spans(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
     def finish(tbl: pa.Table) -> pa.Table:
         de = pc.dictionary_encode(tbl.column("gram").combine_chunks())
         codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        if codes.size == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "dup_partial": pa.array([], pa.int64())}
-            )
         ndocs = np.bincount(codes)
         sel = (ndocs >= 2)[codes]
         did = tbl.column("doc_id").to_numpy(zero_copy_only=False)[sel]
@@ -142,12 +135,10 @@ def dup_spans(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
         np.add.at(s, inv, cnt)
         return pa.table({"doc_id": pa.array(u, pa.int64()), "dup_partial": pa.array(s)})
 
-    dup_partials = (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(lambda t: _pair_partial(t, k), batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    partials = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        lambda t: _pair_partial(t, k), batch_format="pyarrow"
     )
+    dup_partials = exchange(partials, "__pid", finish, GRAM_PARTS)
 
     def base(tbl: pa.Table) -> pa.Table:
         _, _, ngrams = _gram_pairs(tbl, k)
@@ -231,10 +222,6 @@ def decontaminate(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
         is_eval = did % EVAL_MOD == EVAL_REM
         de = pc.dictionary_encode(tbl.column("gram").combine_chunks())
         codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        if codes.size == 0:
-            return pa.table(
-                {"doc_id": pa.array([], pa.int64()), "hits_partial": pa.array([], pa.int64())}
-            )
         nvoc = len(de.dictionary)
         eval_gram = np.bincount(codes[is_eval], minlength=nvoc) > 0
         sel = (~is_eval) & eval_gram[codes]
@@ -245,12 +232,10 @@ def decontaminate(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
         np.add.at(s, inv, cnt)
         return pa.table({"doc_id": pa.array(u, pa.int64()), "hits_partial": pa.array(s)})
 
-    hit_partials = (
-        _read_docs(sf_dir, ["doc_id", "text"])
-        .map_batches(lambda t: _pair_partial(t, k), batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    partials = _read_docs(sf_dir, ["doc_id", "text"]).map_batches(
+        lambda t: _pair_partial(t, k), batch_format="pyarrow"
     )
+    hit_partials = exchange(partials, "__pid", finish, GRAM_PARTS)
 
     def base(tbl: pa.Table) -> pa.Table:
         did = tbl.column("doc_id").to_numpy(zero_copy_only=False)
@@ -358,7 +343,6 @@ def scrub_spans(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
     def dup_pairs(tbl: pa.Table) -> pa.Table:
         """Per gram partition: keep (doc_id, gram) rows whose gram occurs in
         >= 2 distinct docs; route them to the doc partition."""
-        tbl = tbl.drop_columns(["__pid", "cnt"])
         de = pc.dictionary_encode(tbl.column("gram").combine_chunks())
         codes = de.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         ndocs = np.bincount(codes, minlength=len(de.dictionary))
@@ -377,7 +361,7 @@ def scrub_spans(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
             }
         )
 
-    dup_side = partials.groupby("__pid").map_groups(dup_pairs, batch_format="pyarrow")
+    dup_side = exchange(partials, "__pid", dup_pairs, GRAM_PARTS)
 
     def tag_docs(tbl: pa.Table) -> pa.Table:
         did = tbl.column("doc_id").to_numpy(zero_copy_only=False)
@@ -398,7 +382,6 @@ def scrub_spans(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
     )
 
     def scrub(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid2"])
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
         fact = tbl.filter(pa.array(side == 0)).select(["doc_id", "text"])
         dup = tbl.filter(pa.array(side == 1)).select(["doc_id", "gram"])
@@ -432,7 +415,7 @@ def scrub_spans(sf_dir: str, k: int = SPAN_K) -> ray.data.Dataset:
         )
 
     merged = docs.map_batches(tag_docs, batch_format="pyarrow").union(dup_side)
-    return merged.groupby("__pid2").map_groups(scrub, batch_format="pyarrow")
+    return exchange(merged, "__pid2", scrub, DOC_PARTS)
 
 
 def _seg_sums(mask: np.ndarray, offs: np.ndarray) -> np.ndarray:
@@ -510,11 +493,6 @@ def source_overlap(sf_dir: str, k: int = SPAN_K):
         )
 
     def pair_kernel(tbl: pa.Table) -> pa.Table:
-        empty = pa.schema(
-            [("source_a", pa.string()), ("source_b", pa.string()), ("n_partial", pa.int64())]
-        ).empty_table()
-        if tbl.num_rows == 0:
-            return empty
         grams = np.asarray(tbl.column("gram").to_numpy(zero_copy_only=False), dtype=object)
         srcs = np.asarray(tbl.column("source").to_numpy(zero_copy_only=False), dtype=object)
         gcodes = np.unique(grams, return_inverse=True)[1]
@@ -528,7 +506,9 @@ def source_overlap(sf_dir: str, k: int = SPAN_K):
         # source_a < source_b, matching the SQL join condition
         a_idx, b_idx = _segment_pairs(gs, 1 << 20, "source_overlap")
         if a_idx.size == 0:
-            return empty
+            return pa.schema(
+                [("source_a", pa.string()), ("source_b", pa.string()), ("n_partial", pa.int64())]
+            ).empty_table()
         key = np.char.add(np.char.add(ss[a_idx].astype(str), "\x1f"), ss[b_idx].astype(str))
         uk, counts = np.unique(key, return_counts=True)
         ab = np.array([u.split("\x1f", 1) for u in uk], dtype=object)
@@ -540,12 +520,8 @@ def source_overlap(sf_dir: str, k: int = SPAN_K):
             }
         )
 
-    parts = (
-        _read_docs(sf_dir, ["source", "text"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: pair_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow")
-    )
+    partials = _read_docs(sf_dir, ["source", "text"]).map_batches(partial, batch_format="pyarrow")
+    parts = exchange(partials, "__pid", pair_kernel, GRAM_PARTS)
     import pandas as pd
 
     df = parts.to_pandas()  # <= GRAM_PARTS x n_sources^2 rows — bounded

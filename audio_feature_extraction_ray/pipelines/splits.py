@@ -15,16 +15,19 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
+from ..stages.exchange import exchange, read_table
+
 TRAIN_PCT, VAL_PCT = 80, 90  # bucket boundaries on id % 100
 
 
 def _docs(sf_dir: str, columns: list[str]) -> ray.data.Dataset:
-    return ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=columns)
+    return read_table([f"{sf_dir}/documents.parquet"], columns)
 
 
 def docs_split_stats(sf_dir: str) -> ray.data.Dataset:
     """train/val/test split by doc_id % 100 -> per-split counts + char sums.
-    Pre-aggregated inside map_batches (combiner) before the tiny groupby."""
+    Pre-aggregated inside map_batches (combiner), then one gather folds the
+    <= 3 rows per block."""
 
     def assign_and_partial(tbl: pa.Table) -> pa.Table:
         bucket = tbl.column("doc_id").to_numpy() % 100
@@ -47,18 +50,17 @@ def docs_split_stats(sf_dir: str) -> ray.data.Dataset:
         assign_and_partial, batch_format="pyarrow"
     )
 
-    import pandas as pd
-
-    def combine(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
+    def combine(tbl: pa.Table) -> pa.Table:
+        agg = tbl.group_by("split").aggregate([("n_docs", "sum"), ("sum_chars", "sum")])
+        return pa.table(
             {
-                "split": [g["split"].iloc[0]],
-                "n_docs": [np.int64(g["n_docs"].sum())],
-                "sum_chars": [np.int64(g["sum_chars"].sum())],
+                "split": agg.column("split"),
+                "n_docs": agg.column("n_docs_sum"),
+                "sum_chars": agg.column("sum_chars_sum"),
             }
         )
 
-    return ds.groupby("split").map_groups(combine, batch_format="pandas")
+    return exchange(ds, "split", combine, 1)
 
 
 DOCS_SPLIT_STATS_SQL = f"""
@@ -257,11 +259,7 @@ def docs_global_shuffle(sf_dir: str) -> ray.data.Dataset:
     docs_path = f"{sf_dir}/documents.parquet"
     n = pq.read_metadata(docs_path).num_rows
     frac = min(1.0, 10_000 / max(1, n))
-    sample = (
-        ray.data.read_parquet(docs_path, columns=["doc_id"])
-        .random_sample(frac, seed=13)
-        .take_all()
-    )
+    sample = _docs(sf_dir, ["doc_id"]).random_sample(frac, seed=13).take_all()
     s_ids = np.array([r["doc_id"] for r in sample], dtype=np.int64)
     bounds = sample_key_bounds(_shuffle_key(s_ids))
 

@@ -36,6 +36,7 @@ import ray.data
 
 from ..functions.text import _LANG_ORDER, _STOPWORDS
 from ..stages.exchange import exchange, pid_of, read_table
+from ..stages.fold import pid_totals
 from ..state.kernels import _propagate_last, _seg_head
 
 
@@ -1535,10 +1536,7 @@ def global_rank_by_key(
         n_partitions,
         order=("__pid", "__key"),
     ).materialize()  # the ranked output itself; counted next, no recompute
-    counts_rows = ranked.groupby("__pid").count().take_all()
-    counts = np.zeros(n_partitions, dtype=np.int64)
-    for r in counts_rows:
-        counts[int(r["__pid"])] = int(r["count()"])
+    counts = pid_totals(ranked, n_partitions)
     offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
 
     def add_offset(tbl: pa.Table) -> pa.Table:
@@ -2118,12 +2116,7 @@ def _pack_docs(ds: ray.data.Dataset, bounds: np.ndarray) -> ray.data.Dataset:
         len(bounds) + 1,
         order=("doc_id",),
     ).materialize()  # counted next; this IS the output minus offsets
-    from ray.data.aggregate import Sum
-
-    tot_rows = scanned.groupby("__pid").aggregate(Sum("n_tokens", alias_name="t")).take_all()
-    totals = np.zeros(_PACK_PARTITIONS, dtype=np.int64)
-    for r in tot_rows:
-        totals[int(r["__pid"])] = int(r["t"])
+    totals = pid_totals(scanned, _PACK_PARTITIONS, "n_tokens")
     offsets = np.concatenate([[0], np.cumsum(totals)[:-1]])
     L = SEQ_LEN
 

@@ -3,7 +3,8 @@
 - Brute-force cosine top-k: the exact baseline. Query matrix broadcast once
   (ray.put); every batch computes a float64 GEMM against it and emits only its
   LOCAL top-k per query (k rows per query per batch leave the task, not the
-  batch), then a tiny groupby(query_id) merge keeps the global top-k.
+  batch), then a query-keyed exchange merges them to the global top-k
+  (`_merge_topk`: one vectorized rank over every query run of a block).
 - IVF: the scale path. Seeded driver-side k-means (on a sample) -> broadcast
   centroids -> per-batch cluster assignment; queries probe the nprobe nearest
   clusters and score only candidate rows. Approximate: recall measured in
@@ -21,7 +22,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .exchange import pid_of
+from ..state.kernels import _seg_head
+from .exchange import exchange, pid_of
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +38,52 @@ def _norm_rows(m: np.ndarray) -> np.ndarray:
     n = np.sqrt((m * m).sum(axis=1, keepdims=True))
     n[n == 0] = 1.0
     return m / n
+
+
+def _runs(keys: np.ndarray):
+    """(lo, hi) of each run of equal values in a sorted key array."""
+    cuts = np.append(np.flatnonzero(_seg_head(keys)), keys.size)
+    return zip(cuts[:-1], cuts[1:])
+
+
+# query-keyed partitions of the brute-force and IVF top-k merges
+MERGE_PARTS = 8
+
+
+def _merge_topk(partials: ray.data.Dataset, k: int, parts: int) -> ray.data.Dataset:
+    """Global top-k per query from (query_id, neighbor_id, cos_sim)
+    candidates: rows route by query id; each reduce block sorts by (query,
+    -sim, neighbor) and ranks within every query run at once. Output
+    (query_id, rank, neighbor_id, cos_sim), cos_sim rounded to 1e-6."""
+
+    def tag_by_query(tbl: pa.Table) -> pa.Table:
+        pid = pid_of(tbl.column("query_id").to_numpy(), parts)
+        return tbl.append_column("__pid", pa.array(pid))
+
+    def merge_topk(tbl: pa.Table) -> pa.Table:
+        sim = tbl.column("cos_sim").to_numpy()
+        fin = np.isfinite(sim)  # brute force masks self-matches as -inf
+        qid = tbl.column("query_id").to_numpy()[fin]
+        nid = tbl.column("neighbor_id").to_numpy()[fin]
+        sim = sim[fin]
+        order = np.lexsort((nid, -sim, qid))
+        qs, ns, ss = qid[order], nid[order], sim[order]
+        ar = np.arange(qs.size)
+        seg_start = np.where(_seg_head(qs), ar, 0)
+        np.maximum.accumulate(seg_start, out=seg_start)
+        rank = ar - seg_start + 1
+        hit = rank <= k
+        return pa.table(
+            {
+                "query_id": pa.array(qs[hit], pa.int64()),
+                "rank": pa.array(rank[hit], pa.int64()),
+                "neighbor_id": pa.array(ns[hit], pa.int64()),
+                "cos_sim": pa.array(np.floor(ss[hit] * 1e6 + 0.5) / 1e6, pa.float64()),
+            }
+        )
+
+    tagged = partials.map_batches(tag_by_query, batch_format="pyarrow")
+    return exchange(tagged, "__pid", merge_topk, parts)
 
 
 def brute_force_topk(
@@ -79,17 +127,7 @@ def brute_force_topk(
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[np.isfinite(g["cos_sim"])]
-        g = g.sort_values(["cos_sim", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        g["cos_sim"] = np.floor(g["cos_sim"] * 1e6 + 0.5) / 1e6
-        return g[["query_id", "rank", "neighbor_id", "cos_sim"]]
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"), k, MERGE_PARTS)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +234,7 @@ def ivf_knn_join(
         [("query_id", pa.int64()), ("neighbor_id", pa.int64()), ("cos_sim", pa.float64())]
     )
 
-    def cell_topk(tbl: pa.Table) -> pa.Table:
+    def one_cell_topk(tbl: pa.Table) -> pa.Table:
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
         c = tbl.filter(pa.array(side == 0))
         q = tbl.filter(pa.array(side == 1))
@@ -223,57 +261,16 @@ def ivf_knn_join(
             }
         )
 
-    partials = unioned.groupby("__cell").map_groups(
-        lambda g: cell_topk(g.drop_columns(["__cell"])), batch_format="pyarrow"
-    )
+    def cell_topk(tbl: pa.Table) -> pa.Table:
+        # a block holds many cells, sorted by cell: score each cell's
+        # corpus rows against that cell's queries only
+        runs = _runs(tbl.column("__cell").to_numpy())
+        return pa.concat_tables([one_cell_topk(tbl.slice(lo, hi - lo)) for lo, hi in runs])
 
-    P = num_partitions or max(8, n_clusters)
-    def tag_by_query(tbl: pa.Table) -> pa.Table:
-        pid = pid_of(tbl.column("query_id").to_numpy(), P)
-        return tbl.append_column("__pid", pa.array(pid))
-
-    out_schema = pa.schema(
-        [
-            ("query_id", pa.int64()),
-            ("rank", pa.int64()),
-            ("neighbor_id", pa.int64()),
-            ("cos_sim", pa.float64()),
-        ]
-    )
-
-    def merge_topk(tbl: pa.Table) -> pa.Table:
-        # vectorized rank-within-query: sort (qid, -sim, nid), rank by
-        # segment position, keep rank <= k. No (qid, nid) dedupe needed:
-        # every corpus row lives in exactly ONE cell, so each pair is
-        # scored at most once regardless of nprobe.
-        if tbl.num_rows == 0:
-            return out_schema.empty_table()
-        qid = tbl.column("query_id").to_numpy()
-        nid = tbl.column("neighbor_id").to_numpy()
-        sim = tbl.column("cos_sim").to_numpy()
-        order = np.lexsort((nid, -sim, qid))
-        qs, ns, ss = qid[order], nid[order], sim[order]
-        head = np.ones(qs.size, dtype=bool)
-        head[1:] = qs[1:] != qs[:-1]
-        ar = np.arange(qs.size)
-        seg_start = np.where(head, ar, 0)
-        np.maximum.accumulate(seg_start, out=seg_start)
-        rank = ar - seg_start + 1
-        hit = rank <= k
-        return pa.table(
-            {
-                "query_id": pa.array(qs[hit], pa.int64()),
-                "rank": pa.array(rank[hit], pa.int64()),
-                "neighbor_id": pa.array(ns[hit], pa.int64()),
-                "cos_sim": pa.array(np.floor(ss[hit] * 1e6 + 0.5) / 1e6, pa.float64()),
-            }
-        )
-
-    return (
-        partials.map_batches(tag_by_query, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: merge_topk(g.drop_columns(["__pid"])), batch_format="pyarrow")
-    )
+    partials = exchange(unioned, "__cell", cell_topk, n_clusters, order=("__cell",))
+    # no (query, neighbor) dedupe in the merge: every corpus row lives in
+    # exactly ONE cell, so each pair is scored at most once whatever nprobe
+    return _merge_topk(partials, k, num_partitions or max(8, n_clusters))
 
 
 def ivf_topk(
@@ -338,16 +335,7 @@ def ivf_topk(
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["cos_sim", "neighbor_id"], ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        g["cos_sim"] = np.floor(g["cos_sim"] * 1e6 + 0.5) / 1e6
-        return g[["query_id", "rank", "neighbor_id", "cos_sim"]]
-
-    return partials.groupby("query_id").map_groups(merge, batch_format="pandas")
+    return _merge_topk(ds.map_batches(partial, batch_format="pyarrow"), k, MERGE_PARTS)
 
 
 # ---------------------------------------------------------------------------
@@ -826,21 +814,16 @@ def embedding_semdedup(
         ids = tbl.column("vec_id").to_numpy().astype(np.uint64)
         shard = (avalanche64(ids) % s[cl].astype(np.uint64)).astype(np.int64)
         # pack (cluster, shard) into one group key; shard < 2^32 always
-        return tbl.append_column(
-            "gkey", pa.array((cl << np.int64(32)) | shard, pa.int64())
+        gkey = (cl << np.int64(32)) | shard
+        return tbl.append_column("gkey", pa.array(gkey, pa.int64())).append_column(
+            "__pid", pa.array(pid_of(gkey, k))
         )
 
-    def prune(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["gkey"])
-        ids = tbl.column("vec_id").to_numpy()
-        order = np.argsort(ids, kind="stable")
-        tbl = tbl.take(pa.array(order))
-        ids = ids[order]
-        nm = _norm_rows(_emb_matrix(tbl))
-        n = nm.shape[0]
-        max_cos = np.full(n, -1.0)
+    def max_earlier_cos(nm: np.ndarray) -> np.ndarray:
         # row blocks against the full (cluster-sized) matrix: position in
         # the id-sorted order IS the earlier-vector mask
+        n = nm.shape[0]
+        max_cos = np.full(n, -1.0)
         for lo in range(1, n, _SEMDEDUP_ROW_BLOCK):
             hi = min(lo + _SEMDEDUP_ROW_BLOCK, n)
             sim = nm[lo:hi] @ nm.T  # (B, n)
@@ -848,6 +831,14 @@ def embedding_semdedup(
             row = np.arange(lo, hi)[:, None]
             sim[col >= row] = -1.0  # only earlier ids count
             max_cos[lo:hi] = sim.max(axis=1)
+        return max_cos
+
+    def prune(tbl: pa.Table) -> pa.Table:
+        # rows arrive sorted by (gkey, vec_id); a block holds many groups
+        ids = tbl.column("vec_id").to_numpy()
+        nm = _norm_rows(_emb_matrix(tbl))
+        runs = _runs(tbl.column("gkey").to_numpy())
+        max_cos = np.concatenate([max_earlier_cos(nm[lo:hi]) for lo, hi in runs])
         keep = max_cos < tau
         return pa.table(
             {
@@ -860,11 +851,8 @@ def embedding_semdedup(
             }
         )
 
-    return (
-        assigned.map_batches(salt, batch_format="pyarrow")
-        .groupby("gkey")
-        .map_groups(prune, batch_format="pyarrow")
-    )
+    salted = assigned.map_batches(salt, batch_format="pyarrow")
+    return exchange(salted, "__pid", prune, k, order=("gkey", "vec_id"))
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import ray.data
 
 from ..functions.hashing import minhash_signatures_batch
 from ..state.kernels import _neq_prev_mask, _token_hash_set, _token_hashes64_batch
-from .exchange import pid_of
+from .exchange import exchange, pid_of
 from .text_stage import _scratch
 
 logger = logging.getLogger(__name__)
@@ -167,10 +167,8 @@ def exact_dedup(
             return tbl
         return tbl.filter(pa.array(keep))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(keep_first, batch_format="pyarrow")
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "__pid", keep_first, num_partitions
     )
 
 
@@ -239,10 +237,8 @@ def incremental_dedup(
         out = tbl.filter(pa.array(head & is_new))
         return out.drop_columns(["__new"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(kernel, batch_format="pyarrow")
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "__pid", kernel, num_partitions
     )
 
 
@@ -292,10 +288,8 @@ def keep_best_dedup(
             return tbl
         return tbl.filter(pa.array(head))
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(kernel, batch_format="pyarrow")
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "__pid", kernel, num_partitions
     )
 
 
@@ -419,8 +413,6 @@ def _bucket_pairs_kernel(tbl: pa.Table, id_col: str, max_bucket: int) -> pa.Tabl
     """Per-partition candidate pair generation: sort by (band_hash, id), then
     one vectorized within-bucket pair expansion. Emits raw (a, b) candidates
     (duplicates across bands are dropped by the downstream distinct-fold)."""
-    if tbl.num_rows == 0:
-        return _PAIR_SCHEMA.empty_table()
     tbl = tbl.sort_by([("band_hash", "ascending"), (id_col, "ascending")])
     bh = tbl.column("band_hash").to_numpy()
     ids = tbl.column(id_col).to_numpy()
@@ -430,6 +422,27 @@ def _bucket_pairs_kernel(tbl: pa.Table, id_col: str, max_bucket: int) -> pa.Tabl
     a, b = ids[a_idx], ids[b_idx]
     keep = a != b  # same doc twice in one bucket (duplicate input ids)
     return pa.table({"a": pa.array(a[keep], pa.int64()), "b": pa.array(b[keep], pa.int64())})
+
+
+def distinct_pairs(pairs: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
+    """The first row of each (a, b) pair, other columns carried: rows route
+    by a, so every copy of a pair lands in one block and the distinct is
+    global."""
+
+    def tag_by_a(tbl: pa.Table) -> pa.Table:
+        a = tbl.column("a").to_numpy()
+        return tbl.append_column("__pid", pa.array(pid_of(a, num_partitions)))
+
+    def distinct(tbl: pa.Table) -> pa.Table:
+        a = tbl.column("a").to_numpy()
+        b = tbl.column("b").to_numpy()
+        order = np.lexsort((b, a))
+        first = np.ones(order.size, dtype=bool)
+        first[1:] = (a[order][1:] != a[order][:-1]) | (b[order][1:] != b[order][:-1])
+        return tbl.drop_columns(["__pid"]).take(pa.array(np.sort(order[first])))
+
+    tagged = pairs.map_batches(tag_by_a, batch_format="pyarrow")
+    return exchange(tagged, "__pid", distinct, num_partitions)
 
 
 _SIG_T = pa.list_(pa.int64(), NUM_PERM)
@@ -494,7 +507,7 @@ def _attach_sig(
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
         sig_rows = tbl.filter(pa.array(side == 0))
         pair_rows = tbl.filter(pa.array(side == 1))
-        if pair_rows.num_rows == 0:
+        if pair_rows.num_rows == 0:  # a block of signatures only
             return out_schema.empty_table()
         pk = pair_rows.column("__key").to_numpy()
         po = pair_rows.column(other_col).to_numpy()
@@ -523,9 +536,7 @@ def _attach_sig(
         )
         return pa.table(cols)
 
-    return unioned.groupby("__pid").map_groups(
-        lambda g: join(g.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
+    return exchange(unioned, "__pid", join, num_partitions)
 
 
 # Below this many documents the signature matrix is broadcast (ray.put once,
@@ -589,8 +600,6 @@ def minhash_lsh_pairs(
         )
 
         def verified_pairs(tbl: pa.Table) -> pa.Table:
-            if tbl.num_rows == 0:
-                return est_schema.empty_table()
             tbl = tbl.sort_by([("band_hash", "ascending"), (id_col, "ascending")])
             bh = tbl.column("band_hash").to_numpy()
             ids = tbl.column(id_col).to_numpy()
@@ -613,38 +622,15 @@ def minhash_lsh_pairs(
                 }
             )
 
-        verified = bands.groupby("__pid").map_groups(
-            lambda g: verified_pairs(g.drop_columns(["__pid"])), batch_format="pyarrow"
-        )
-
-        def tag_by_a(tbl: pa.Table) -> pa.Table:
-            a = tbl.column("a").to_numpy()
-            return tbl.append_column(
-                "__pid", pa.array(pid_of(a.view(np.uint64), num_partitions))
-            )
-
-        def distinct_kernel(tbl: pa.Table) -> pa.Table:
-            if tbl.num_rows == 0:
-                return est_schema.empty_table()
-            a = tbl.column("a").to_numpy()
-            b = tbl.column("b").to_numpy()
-            order2 = np.lexsort((b, a))
-            first = np.ones(order2.size, dtype=bool)
-            first[1:] = (a[order2][1:] != a[order2][:-1]) | (b[order2][1:] != b[order2][:-1])
-            return tbl.take(pa.array(np.sort(order2[first])))
-
-        return (
-            verified.map_batches(tag_by_a, batch_format="pyarrow")
-            .groupby("__pid")
-            .map_groups(
-                lambda g: distinct_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow"
-            )
-        )
+        verified = exchange(bands, "__pid", verified_pairs, num_partitions)
+        return distinct_pairs(verified, num_partitions)
 
     # ---- co-partitioned plan (no broadcast side) --------------------------
-    cand = bands.groupby("__pid").map_groups(
-        lambda g: _bucket_pairs_kernel(g.drop_columns(["__pid"]), id_col, max_bucket),
-        batch_format="pyarrow",
+    cand = exchange(
+        bands,
+        "__pid",
+        lambda t: _bucket_pairs_kernel(t, id_col, max_bucket),
+        num_partitions,
     )
     with_a = _attach_sig(
         cand, sigs, "a", "b", id_col, "sig_a", num_partitions, distinct=True
@@ -770,8 +756,6 @@ def hamming_pairs(
     band_rows = sigs.map_batches(bands, batch_format="pyarrow")
 
     def pairs_kernel(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return _SIMHASH_PAIR_SCHEMA.empty_table()
         tbl = tbl.sort_by([("band", "ascending"), (id_col, "ascending")])
         band = tbl.column("band").to_numpy()
         ids = tbl.column(id_col).to_numpy()
@@ -795,30 +779,8 @@ def hamming_pairs(
             }
         )
 
-    cand = band_rows.groupby("__pid").map_groups(
-        lambda g: pairs_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
-
-    def tag_by_a(tbl: pa.Table) -> pa.Table:
-        a = tbl.column("a").to_numpy()
-        return tbl.append_column("__pid", pa.array(pid_of(a.view(np.uint64), num_partitions)))
-
-    def distinct_kernel(tbl: pa.Table) -> pa.Table:
-        # every copy of (a, b) shares a, hence this partition: global distinct
-        if tbl.num_rows == 0:
-            return _SIMHASH_PAIR_SCHEMA.empty_table()
-        a = tbl.column("a").to_numpy()
-        b = tbl.column("b").to_numpy()
-        order = np.lexsort((b, a))
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = (a[order][1:] != a[order][:-1]) | (b[order][1:] != b[order][:-1])
-        return tbl.take(pa.array(np.sort(order[first])))
-
-    return (
-        cand.map_batches(tag_by_a, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: distinct_kernel(g.drop_columns(["__pid"])), batch_format="pyarrow")
-    )
+    cand = exchange(band_rows, "__pid", pairs_kernel, num_partitions)
+    return distinct_pairs(cand, num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -835,21 +797,15 @@ def jaccard_pairs(
     full-coverage string_hash_strong, so hash collisions (the only way this
     can diverge from true set Jaccard) need equal length + equal 32 sampled
     bytes. All pairwise intersection counts come from ONE incidence-matrix
-    Gram product, chunked over the vocabulary so scratch stays bounded."""
-    import pandas as pd
-
+    Gram product, chunked over the vocabulary so scratch stays bounded.
+    The caller limits ds to a small sample: one kernel call sees every row."""
     from ..functions.hashing import string_hash_strong
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(id_col)
-        ids = df[id_col].to_numpy()
+    def fn(tbl: pa.Table) -> pa.Table:
+        tbl = tbl.sort_by(id_col)
+        ids = tbl.column(id_col).to_numpy()
         n = len(ids)
-        empty = pd.DataFrame({"a": [], "b": [], "jaccard": []}).astype(
-            {"a": "int64", "b": "int64", "jaccard": "float64"}
-        )
-        if n < 2:
-            return empty
-        texts = pa.array([t if isinstance(t, str) else "" for t in df[text_col]], pa.string())
+        texts = pc.fill_null(tbl.column(text_col), "").combine_chunks()
         tok_lists = pc.split_pattern(texts, " ")
         ntok = pc.list_value_length(tok_lists).to_numpy(zero_copy_only=False).astype(np.int64)
         h = string_hash_strong(pc.list_flatten(tok_lists))
@@ -874,21 +830,15 @@ def jaccard_pairs(
         union = sizes[ii] + sizes[jj] - iv
         jac = np.where(union > 0, iv / np.maximum(union, 1), 1.0)
         keep = jac >= min_jaccard
-        return pd.DataFrame(
+        return pa.table(
             {
-                "a": ids[ii[keep]].astype(np.int64),
-                "b": ids[jj[keep]].astype(np.int64),
-                "jaccard": np.floor(jac[keep] * 1e6 + 0.5) / 1e6,
+                "a": pa.array(ids[ii[keep]], pa.int64()),
+                "b": pa.array(ids[jj[keep]], pa.int64()),
+                "jaccard": pa.array(np.floor(jac[keep] * 1e6 + 0.5) / 1e6, pa.float64()),
             }
         )
 
-    # single group: the caller limits ds to a small sample
-    ds = ds.map_batches(
-        lambda t: t.append_column("_g", pa.array(np.zeros(t.num_rows, dtype=np.int32))),
-        batch_format="pyarrow",
-    )
-    out = ds.groupby("_g").map_groups(lambda g: fn(g.drop(columns=["_g"])), batch_format="pandas")
-    return out
+    return exchange(ds, "__one", fn, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -947,30 +897,23 @@ def edit_distance_pairs(
     (the caller limits ds, same contract as jaccard_pairs); emits pairs with
     edist <= max_dist. Character-based (codepoint DP): matches SQL
     levenshtein(substr(a,1,L), substr(b,1,L)) for non-ASCII text too."""
-    import pandas as pd
 
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(id_col)
-        ids = df[id_col].to_numpy()
-        texts = list(df[text_col])
+    def fn(tbl: pa.Table) -> pa.Table:
+        tbl = tbl.sort_by(id_col)
+        ids = tbl.column(id_col).to_numpy()
+        texts = tbl.column(text_col).to_pylist()
         ii, jj = np.triu_indices(len(ids), k=1)
-        if ii.size == 0:
-            return pd.DataFrame({"a": [], "b": [], "edist": []}).astype(
-                {"a": "int64", "b": "int64", "edist": "int64"}
-            )
-        d = _levenshtein_batch(
-            [texts[i] for i in ii], [texts[j] for j in jj], prefix_len
-        )
+        d = _levenshtein_batch([texts[i] for i in ii], [texts[j] for j in jj], prefix_len)
         keep = d <= max_dist
-        return pd.DataFrame(
-            {"a": ids[ii[keep]], "b": ids[jj[keep]], "edist": d[keep]}
+        return pa.table(
+            {
+                "a": pa.array(ids[ii[keep]], pa.int64()),
+                "b": pa.array(ids[jj[keep]], pa.int64()),
+                "edist": pa.array(d[keep], pa.int64()),
+            }
         )
 
-    ds = ds.map_batches(
-        lambda t: t.append_column("_g", pa.array(np.zeros(t.num_rows, dtype=np.int32))),
-        batch_format="pyarrow",
-    )
-    return ds.groupby("_g").map_groups(lambda g: fn(g.drop(columns=["_g"])), batch_format="pandas")
+    return exchange(ds, "__one", fn, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -1100,8 +1043,6 @@ def jaccard_join(
 
     def dedup_pairs(tbl: pa.Table) -> pa.Table:
         tbl = tbl.drop_columns(["__pid4"])
-        if tbl.num_rows == 0:
-            return tbl
         a = tbl.column("a").to_numpy()
         b = tbl.column("b").to_numpy()
         key = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
@@ -1111,16 +1052,11 @@ def jaccard_join(
         first[1:] = ks[1:] != ks[:-1]
         return tbl.take(pa.array(order[first]))
 
-    tokrows = ds.map_batches(tok_rows, batch_format="pyarrow")
-    with_df = tokrows.groupby("__pid").map_groups(attach_df, batch_format="pyarrow")
-    prefixes = with_df.groupby("__pid2").map_groups(prefix_rows, batch_format="pyarrow")
-    pairs = (
-        prefixes.groupby("__pid3")
-        .map_groups(candidates, batch_format="pyarrow")
-        .groupby("__pid4")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-        .materialize()
-    )
+    P = num_partitions
+    with_df = exchange(ds.map_batches(tok_rows, batch_format="pyarrow"), "__pid", attach_df, P)
+    prefixes = exchange(with_df, "__pid2", prefix_rows, P)
+    pairs = exchange(exchange(prefixes, "__pid3", candidates, P), "__pid4", dedup_pairs, P)
+    pairs = pairs.materialize()
 
     # --- doc token-set side for verification
     def doc_sets(tbl: pa.Table) -> pa.Table:
@@ -1177,7 +1113,7 @@ def jaccard_join(
         tagged = pair_ds.map_batches(tag_pair, batch_format="pyarrow").union(
             sets_ds.map_batches(tag_set, batch_format="pyarrow")
         )
-        return tagged.groupby("__pidX").map_groups(merge, batch_format="pyarrow")
+        return exchange(tagged, "__pidX", merge, num_partitions)
 
     pairs_a = _attach_sets(pairs, "a", "toks_a", extra=())
     pairs_ab = _attach_sets(pairs_a, "b", "toks_b", extra=("toks_a",))
@@ -1394,8 +1330,6 @@ def containment_join(
 
     def dedup_pairs(tbl: pa.Table) -> pa.Table:
         tbl = tbl.drop_columns(["__pid4"])
-        if tbl.num_rows == 0:
-            return tbl
         a = tbl.column("a").to_numpy()
         b = tbl.column("b").to_numpy()
         key = (a.astype(np.uint64) << np.uint64(32)) | b.astype(np.uint64)
@@ -1405,16 +1339,11 @@ def containment_join(
         first[1:] = ks[1:] != ks[:-1]
         return tbl.take(pa.array(order[first]))
 
-    tokrows = ds.map_batches(tok_rows, batch_format="pyarrow")
-    with_df = tokrows.groupby("__pid").map_groups(attach_df, batch_format="pyarrow")
-    sided = with_df.groupby("__pid2").map_groups(sided_rows, batch_format="pyarrow")
-    pairs = (
-        sided.groupby("__pid3")
-        .map_groups(candidates, batch_format="pyarrow")
-        .groupby("__pid4")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-        .materialize()
-    )
+    P = num_partitions
+    with_df = exchange(ds.map_batches(tok_rows, batch_format="pyarrow"), "__pid", attach_df, P)
+    sided = exchange(with_df, "__pid2", sided_rows, P)
+    pairs = exchange(exchange(sided, "__pid3", candidates, P), "__pid4", dedup_pairs, P)
+    pairs = pairs.materialize()
 
     # --- doc token-set side for exact verification (directed: na from a)
     def doc_sets(tbl: pa.Table) -> pa.Table:
@@ -1469,7 +1398,7 @@ def containment_join(
         tagged = pair_ds.map_batches(tag_pair, batch_format="pyarrow").union(
             sets_ds.map_batches(tag_set, batch_format="pyarrow")
         )
-        return tagged.groupby("__pidX").map_groups(merge, batch_format="pyarrow")
+        return exchange(tagged, "__pidX", merge, num_partitions)
 
     pairs_a = _attach_sets(pairs, "a", "toks_a", extra=())
     pairs_ab = _attach_sets(pairs_a, "b", "toks_b", extra=("toks_a",))

@@ -2,29 +2,37 @@
 
 `exchange(ds, key, fn, parts, order)` routes rows by an integer key in
 [0, parts) into R reduce blocks, then calls `fn` once per non-empty block
-after a stable sort by `order`. Every branch keeps each key group whole in
-one block, the guarantee of Ray's own `groupby(key).map_groups`, but none
-samples the data:
+after a stable sort by `order`. It is the package's only keyed shuffle:
+every branch keeps each key group whole in one block, the guarantee of
+Ray's own `groupby(key).map_groups`, but none samples a predicted input:
 
   * R is the block count `predicted_num_blocks(ds)` reads off the logical
-    plan, capped at `parts`;
+    plan, capped at `parts`; `parts <= 1` is R = 1 whatever the prediction;
   * R == 1: a gather, one `map_batches` whose batch size is every row:
     Ray's bundler sends all input blocks to one task and its batcher
     concatenates them, so `fn` runs once over all rows; the map fuses with
-    the maps before it, with no all-to-all barrier;
+    the maps before it, with no all-to-all barrier. A `parts == 1` call
+    never reads `key`, so a whole-input kernel (a graph held in one task,
+    an all-pairs sample) names a key its rows need not carry;
   * R > 1: `ds.sort(key, boundaries=...)` at round(i * parts / R), so the
     sort skips its SortSample round trip and each reducer gets the same
     number of key values;
   * no prediction: Ray's sampled `ds.sort(key)`, as map_groups does.
 
 A wrong prediction costs speed only. A block holds many keys, so `fn` is a
-block kernel: one call per reduce block rather than one per key value.
+block kernel: one call per reduce block rather than one per key value. A
+kernel that computes one result per key (a top-k merge, a per-cluster
+prune) loops over the key runs of its block (`state.kernels._seg_head`
+over rows the exchange sorted by `order`).
 
 `pid_of(keys, parts)` is the one partition hash of the package: the
 golden-ratio (Fibonacci) mix of a 64-bit key, `((key * GOLD) >> 33) % parts`.
-The events, relational, text, dedup, join, graph, bpe and ann operators tag
-their rows with it, so an integer key maps to the same partition id in
-every operator.
+The events, relational, text, dedup, join, graph, window, spans, bpe and ann
+operators tag their rows with it, so an integer key maps to the same
+partition id in every operator. A few tags keep a hash of their own (the
+md5 digest of exact dedup, the `avalanche64` pids of the relational folds,
+string keys through `string_hash_strong`); `exchange` needs only a key in
+[0, parts).
 
 The read in front of the exchange fixes R. `read_num_blocks(files)` picks
 the read's block count without reading any data: from the cluster CPUs and
@@ -177,7 +185,7 @@ def exchange(
     in [0, parts), so that each key value lands whole in one reduce block;
     then call `fn` once per non-empty block, sorted stably by `order` (see
     the module docstring for the routing rule)."""
-    r = predicted_num_blocks(ds)
+    r = 1 if parts <= 1 else predicted_num_blocks(ds)
     batch_size = None  # one call per reduce block
     if r is None:
         ds = ds.sort(key)

@@ -72,6 +72,28 @@ def exchange_fold(
     return fold(pa.concat_tables(folded))
 
 
+def pid_totals(
+    ds: ray.data.Dataset, parts: int, col: Optional[str] = None, ufunc: np.ufunc = np.add
+) -> np.ndarray:
+    """`parts` int64 totals over the `__pid` column of an exchanged Dataset,
+    with no second shuffle: each block reduces its rows into `parts`
+    counters in one map task (`ufunc.at`: the row count when `col` is None,
+    else the np.add sum or np.maximum max of `col`), and the driver folds
+    the <= blocks x parts counters. A pid with no rows totals 0."""
+    empty = np.iinfo(np.int64).min if ufunc is np.maximum else 0
+
+    def count(tbl: pa.Table) -> pa.Table:
+        out = np.full(parts, empty, np.int64)
+        vals = 1 if col is None else tbl.column(col).to_numpy()
+        ufunc.at(out, tbl.column("__pid").to_numpy(), vals)
+        return pa.table({"t": out})
+
+    rows = ds.map_batches(count, batch_format="pyarrow").take_all()
+    per_batch = np.array([r["t"] for r in rows], np.int64).reshape(-1, parts)
+    tot = ufunc.reduce(per_batch, axis=0, initial=empty)
+    return np.where(tot == empty, 0, tot)
+
+
 def merge_registers(
     partials: ray.data.Dataset,
     *,

@@ -31,7 +31,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .exchange import pid_of
+from .exchange import exchange, pid_of
 
 
 @ray.remote(num_cpus=1)
@@ -61,9 +61,6 @@ def _group_min(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
         )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        if tbl.num_rows == 0:
-            return tbl
         node = tbl.column("node").to_numpy()
         lbl = tbl.column("label").to_numpy()
         order = np.lexsort((lbl, node))
@@ -75,10 +72,10 @@ def _group_min(ds: ray.data.Dataset, num_partitions: int) -> ray.data.Dataset:
             {"node": pa.array(ns[starts], pa.int64()), "label": pa.array(ls[starts], pa.int64())}
         )
 
-    return (
-        ds.map_batches(combine, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(finish, batch_format="pyarrow")
+    return exchange(
+
+        ds.map_batches(combine, batch_format="pyarrow"), "__pid", finish, num_partitions
+
     )
 
 
@@ -137,7 +134,6 @@ def connected_components(
         # is algorithm-independent, so this is the same answer the
         # distributed rounds produce, without per-round stage round-trips.
         def local_cc(tbl: pa.Table) -> pa.Table:
-            tbl = tbl.drop_columns(["__one"])
             src = tbl.column("src").to_numpy()
             dst = tbl.column("dst").to_numpy()
             uniq = np.unique(src)  # self-loops guarantee every node appears
@@ -158,14 +154,7 @@ def connected_components(
                 }
             )
 
-        return (
-            sym_edges.map_batches(
-                lambda t: t.append_column("__one", pa.array(np.zeros(t.num_rows, np.int32))),
-                batch_format="pyarrow",
-            )
-            .groupby("__one")
-            .map_groups(local_cc, batch_format="pyarrow")
-        )
+        return exchange(sym_edges, "__one", local_cc, 1)
     sym_edges = ray.data.from_arrow_refs(
         [r for r in sym_edges.to_arrow_refs()]
     )  # pinned: consumed once per iteration (see _pin below)
@@ -278,10 +267,10 @@ def _pagerank_edges(edges, a_col, b_col, num_partitions):
         deg = np.bincount(codes, minlength=uniq.size)
         return tbl.append_column("deg", pa.array(deg[codes], pa.int64()))
 
-    return (
-        edges.map_batches(sym, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(attach_deg, batch_format="pyarrow")
+    return exchange(
+
+        edges.map_batches(sym, batch_format="pyarrow"), "__pid", attach_deg, num_partitions
+
     )
 
 
@@ -309,7 +298,6 @@ def pagerank(
         # the same SQL oracle) instead of paying 4+ distributed stage
         # round-trips per iteration for data that needs none
         def all_rounds(tbl: pa.Table) -> pa.Table:
-            tbl = tbl.drop_columns(["__one"])
             src = tbl.column("src").to_numpy()
             dst = tbl.column("dst").to_numpy()
             deg = tbl.column("deg").to_numpy()
@@ -329,14 +317,7 @@ def pagerank(
                 {"node": pa.array(uniq, pa.int64()), "rank_fp": pa.array(r, pa.int64())}
             )
 
-        return (
-            sym_deg.map_batches(
-                lambda t: t.append_column("__one", pa.array(np.zeros(t.num_rows, np.int32))),
-                batch_format="pyarrow",
-            )
-            .groupby("__one")
-            .map_groups(all_rounds, batch_format="pyarrow")
-        )
+        return exchange(sym_deg, "__one", all_rounds, 1)
     sym_deg = ray.data.from_arrow_refs([r for r in sym_deg.to_arrow_refs()])
 
     # node count: one tiny distinct pass (symmetric graph -> every node is a src)
@@ -385,7 +366,6 @@ def pagerank(
     ranks = ray.data.from_arrow_refs([r for r in ranks.materialize().to_arrow_refs()])
 
     def fold_contribs(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         dst = tbl.column("node").to_numpy()
         c = tbl.column("contrib").to_numpy()
         uniq, codes = np.unique(dst, return_inverse=True)
@@ -422,9 +402,7 @@ def pagerank(
             ),
             batch_format="pyarrow",
         )
-        ranks = (
-            contribs.groupby("__pid").map_groups(fold_contribs, batch_format="pyarrow")
-        )
+        ranks = exchange(contribs, "__pid", fold_contribs, num_partitions)
         ranks = ray.data.from_arrow_refs([r for r in ranks.materialize().to_arrow_refs()])
     return ranks
 
@@ -474,9 +452,6 @@ def triangle_count(
         )
 
     def distinct(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        if tbl.num_rows == 0:
-            return tbl
         lo = tbl.column("lo").to_numpy()
         hi = tbl.column("hi").to_numpy()
         key = (lo << 32) | hi
@@ -489,12 +464,9 @@ def triangle_count(
             {"lo": pa.array(lo[idx], pa.int64()), "hi": pa.array(hi[idx], pa.int64())}
         )
 
-    e = (
-        edges.map_batches(canon, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(distinct, batch_format="pyarrow")
-        .materialize()
-    )
+    e = exchange(
+        edges.map_batches(canon, batch_format="pyarrow"), "__pid", distinct, num_partitions
+    ).materialize()
     # data-aware width for the remaining five exchanges: each costs one
     # reduce group per partition, pure scheduling overhead on small edge
     # sets; real pair-scale graphs keep the full width
@@ -514,7 +486,6 @@ def triangle_count(
         )
 
     def deg_fold(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         node = tbl.column("node").to_numpy()
         dp = tbl.column("deg_partial").to_numpy()
         uniq, codes = np.unique(node, return_inverse=True)
@@ -524,12 +495,9 @@ def triangle_count(
             {"node": pa.array(uniq, pa.int64()), "deg": pa.array(sums, pa.int64())}
         )
 
-    deg = (
-        e.map_batches(deg_partial, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(deg_fold, batch_format="pyarrow")
-        .materialize()
-    )
+    deg = exchange(
+        e.map_batches(deg_partial, batch_format="pyarrow"), "__pid", deg_fold, num_partitions
+    ).materialize()
 
     # --- attach endpoint degrees via tagged co-partitioned sorted-probe
     def _attach(
@@ -572,16 +540,13 @@ def triangle_count(
         tagged = edge_ds.map_batches(tag_edge, batch_format="pyarrow").union(
             deg.map_batches(tag_deg, batch_format="pyarrow")
         )
-        return tagged.groupby("__pid").map_groups(merge, batch_format="pyarrow")
+        return exchange(tagged, "__pid", merge, num_partitions)
 
     e2 = _attach(e, "lo", "deg_lo")
     e3 = _attach(e2, "hi", "deg_hi", edge_extra=("deg_lo",)).materialize()
 
     # --- orient + wedge generation per source
     def wedges(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        if tbl.num_rows == 0:
-            return pa.table({"key": pa.array([], pa.int64()), "cnt": pa.array([], pa.int64())})
         src = tbl.column("src").to_numpy()
         dst = tbl.column("dst").to_numpy()
         order = np.lexsort((dst, src))
@@ -612,10 +577,10 @@ def triangle_count(
             }
         )
 
-    wedge_ds = (
-        e3.map_batches(orient, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(wedges, batch_format="pyarrow")
+    wedge_ds = exchange(
+
+        e3.map_batches(orient, batch_format="pyarrow"), "__pid", wedges, num_partitions
+
     )
 
     # --- membership: wedges probe the edge set on the packed key
@@ -642,7 +607,6 @@ def triangle_count(
         )
 
     def count_hits(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
         cnt = tbl.column("cnt").to_numpy()
         key = tbl.column("key").to_numpy()
         is_edge = cnt == -1
@@ -659,8 +623,8 @@ def triangle_count(
     probe = wedge_ds.map_batches(tag_wedge, batch_format="pyarrow").union(
         e.map_batches(tag_edge_key, batch_format="pyarrow")
     )
-    partials = probe.groupby("__pid").map_groups(count_hits, batch_format="pyarrow").take_all()
-    total = sum(r["partial"] for r in partials)  # bounded: one row per partition
+    partials = exchange(probe, "__pid", count_hits, num_partitions).take_all()
+    total = sum(r["partial"] for r in partials)  # bounded: one row per reduce block
     return pd.DataFrame({"n_triangles": [total]})
 
 
@@ -693,9 +657,6 @@ def _group_count(ds: ray.data.Dataset, col: str, num_partitions: int) -> ray.dat
         )
 
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        if tbl.num_rows == 0:
-            return tbl
         node = tbl.column("node").to_numpy()
         deg = tbl.column("degree").to_numpy()
         order = np.argsort(node, kind="stable")
@@ -711,10 +672,10 @@ def _group_count(ds: ray.data.Dataset, col: str, num_partitions: int) -> ray.dat
             }
         )
 
-    return (
-        ds.map_batches(combine, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(finish, batch_format="pyarrow")
+    return exchange(
+
+        ds.map_batches(combine, batch_format="pyarrow"), "__pid", finish, num_partitions
+
     )
 
 

@@ -29,7 +29,7 @@ import ray
 import ray.data
 
 from ..functions.hashing import avalanche64, string_hash_strong
-from .exchange import pid_of
+from .exchange import exchange, pid_of
 
 def _is_string(dt: pa.DataType) -> bool:
     return pa.types.is_string(dt) or pa.types.is_large_string(dt)
@@ -238,9 +238,7 @@ def copartitioned_equijoin(
                 out = pa.concat_tables([out, pa.table(extra).cast(out_schema)])
         return out.cast(out_schema)
 
-    return unioned.groupby("__pid").map_groups(
-        lambda g: kernel(g.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
+    return exchange(unioned, "__pid", kernel, num_partitions)
 
 
 def copartitioned_semi_anti(
@@ -285,7 +283,7 @@ def copartitioned_semi_anti(
 
     def kernel(tbl: pa.Table) -> pa.Table:
         side = tbl.column("__side").to_numpy(zero_copy_only=False)
-        l = tbl.filter(pa.array(side == 0)).drop_columns(["__side"])
+        l = tbl.filter(pa.array(side == 0)).select(lcols)
         probe = np.unique(
             tbl.filter(pa.array(side == 1)).column(left_key).cast(pa.int64()).to_numpy()
         )
@@ -295,9 +293,7 @@ def copartitioned_semi_anti(
         hit[hit] = probe[pos[hit]] == lk[hit]
         return l.filter(pa.array(~hit if anti else hit))
 
-    return unioned.groupby("__pid").map_groups(
-        lambda g: kernel(g.drop_columns(["__pid"])), batch_format="pyarrow"
-    )
+    return exchange(unioned, "__pid", kernel, num_partitions)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ import pyarrow as pa
 import ray.data
 
 from ..functions.hashing import hash64_str_array
-from .exchange import pid_of
+from .exchange import exchange, pid_of
 
 def _key_u64(col: pa.ChunkedArray) -> np.ndarray:
     """The 64-bit hash input of an int or string key column."""
@@ -107,11 +107,8 @@ def grouped_topk(
             tbl.drop_columns(["__pid"]), key, order_col, tiebreak, k, descending, with_rank=True
         )
 
-    return (
-        ds.map_batches(combine, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(finish, batch_format="pyarrow")
-    )
+    tagged = ds.map_batches(combine, batch_format="pyarrow")
+    return exchange(tagged, "__pid", finish, num_partitions)
 
 
 def grouped_quantiles(
@@ -141,12 +138,7 @@ def grouped_quantiles(
             }
         )
 
-    out_fields = [("n", pa.int64())] + [(name, pa.float64()) for name, _ in qitems]
-
     def finish(tbl: pa.Table) -> pa.Table:
-        tbl = tbl.drop_columns(["__pid"])
-        if tbl.num_rows == 0:
-            return pa.schema([(key, tbl.schema.field(key).type)] + out_fields).empty_table()
         kraw = tbl.column(key).to_numpy(zero_copy_only=False)
         uniq, codes = np.unique(kraw, return_inverse=True)
         val = tbl.column(value_col).to_numpy(zero_copy_only=False).astype(np.float64)
@@ -160,21 +152,19 @@ def grouped_quantiles(
         }
         last = starts + cnts - 1
         for name, q in qitems:
-            pos = starts + (cnts - 1) * q
-            lo = np.floor(pos).astype(np.int64)
+            # the position within each key's run, not within the block: a
+            # block holds many keys, and starts + pos rounds frac off
+            pos = (cnts - 1) * q
+            lo = starts + np.floor(pos).astype(np.int64)
             hi = np.minimum(lo + 1, last)
-            frac = pos - lo
+            frac = pos - np.floor(pos)
             # DuckDB's quantile_cont interpolator is lo*(1-frac) + hi*frac
             # (verified empirically over randomized cases); use the same op
             # sequence so results are bit-identical to the SQL oracle
             cols[name] = pa.array(vs[lo] * (1.0 - frac) + vs[hi] * frac, pa.float64())
         return pa.table(cols)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(finish, batch_format="pyarrow")
-    )
+    return exchange(ds.map_batches(tag, batch_format="pyarrow"), "__pid", finish, num_partitions)
 
 
 def grouped_quantile_sketch(
@@ -214,11 +204,7 @@ def grouped_quantile_sketch(
             }
         )
 
-    out_fields = [("n", pa.int64())] + [(name, pa.float64()) for name, _ in qitems]
-
     def finish(tbl: pa.Table) -> pa.Table:
-        if tbl.num_rows == 0:
-            return pa.schema([(key, tbl.schema.field(key).type)] + out_fields).empty_table()
         kraw = tbl.column(key).to_numpy(zero_copy_only=False)
         uniq, codes = np.unique(kraw, return_inverse=True)
         flat = tbl.column("__counts").combine_chunks().flatten().to_numpy(
@@ -242,9 +228,7 @@ def grouped_quantile_sketch(
             "__pid", pa.array(pid_of(_key_u64(tbl.column(key)), 32))
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("__pid")
-        .map_groups(lambda g: finish(g.drop_columns(["__pid"])), batch_format="pyarrow")
+    tagged = ds.map_batches(partial, batch_format="pyarrow").map_batches(
+        tag, batch_format="pyarrow"
     )
+    return exchange(tagged, "__pid", finish, 32)

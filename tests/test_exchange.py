@@ -399,6 +399,27 @@ def test_exchange_plan_multi_block_sorts_on_fixed_boundaries(ray_session, tmp_pa
     assert sampled == []
 
 
+def test_exchange_parts_one_gathers_an_unsized_read(ray_session, tmp_path, monkeypatch):
+    """A parts == 1 exchange over a read Ray sizes itself (no prediction) is
+    still a gather: no Sort and no boundary sampling, one fused MapBatches
+    task over every row, and the key column is never read."""
+    sampled = _count_sampling(monkeypatch)
+    sf = _events_table(tmp_path / "sf")
+    ds = ray.data.read_parquet(f"{sf}/events.parquet", columns=["event_id", "user_id"])
+    assert predicted_num_blocks(ds) is None
+
+    def rows_per_call(tbl: pa.Table) -> pa.Table:
+        return pa.table({"rows": [tbl.num_rows]})
+
+    out = exchange.exchange(ds, "__one", rows_per_call, 1).materialize()
+    assert out.take_all() == [{"rows": 3000}]
+    names = _op_names(out)
+    assert not any(n.startswith(("Repartition", "Sort")) for n in names), names
+    assert names[-1].endswith("MapBatches(rows_per_call)"), names
+    assert f"{names[-1]}: 1 tasks executed" in out.stats()
+    assert sampled == []
+
+
 def test_exchange_unknown_prediction_samples_like_map_groups(ray_session, tmp_path, monkeypatch):
     """A read Ray sizes itself has no prediction: the sort samples its
     boundaries, as Ray's own map_groups does."""
@@ -448,3 +469,24 @@ def test_window_string_keys_route_through_pid_of():
     ints = [-5, 0, 7, 2**31 - 1]
     col = pa.chunked_array([pa.array(ints, pa.int32())])
     assert pid_of(window._key_u64(col), 7).tolist() == [_golden_pid(v, 7) for v in ints]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "docs_split_stats",
+        "jaccard_pairs_sample",
+        "edit_distance_pairs",
+        "docs_tfidf_cosine_pairs",
+        "ann_ivf_fullprobe",
+    ],
+)
+def test_exchange_entries_emit_arrow_blocks(ray_session, name):
+    """The entries whose merges ran as pandas map_groups kernels emit Arrow
+    blocks through exchange."""
+    import __ray_entry__ as e
+    from test_queries_oracle import SF_DIR
+
+    ds = e.queries()[name](SF_DIR)
+    blocks = [ray.get(ref) for bundle in ds.iter_internal_ref_bundles() for ref, _ in bundle.blocks]
+    assert blocks and all(isinstance(b, pa.Table) for b in blocks), {type(b) for b in blocks}

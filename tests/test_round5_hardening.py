@@ -164,9 +164,9 @@ def test_no_per_block_take_all_outside_helper():
 
 
 def test_one_keyed_exchange_and_one_partition_hash():
-    """grep-clean contract: events.py, text_analysis.py and fold.py route
-    every keyed shuffle through stages.exchange.exchange (no Ray
-    groupby().map_groups), text_analysis.py reads through
+    """grep-clean contract: the package routes every keyed shuffle through
+    stages.exchange.exchange (no Ray groupby().map_groups anywhere), the
+    text, relational, spans, splits and bpe pipelines read through
     stages.exchange.read_table (no direct ray.data.read_parquet), and the
     golden-ratio partition hash `>> np.uint64(33)` is written out only in
     stages.exchange.pid_of."""
@@ -176,13 +176,16 @@ def test_one_keyed_exchange_and_one_partition_hash():
 
     pkg = Path(__file__).resolve().parents[1] / "audio_feature_extraction_ray"
     bad = []
-    for rel in ("pipelines/events.py", "pipelines/text_analysis.py", "stages/fold.py"):
-        for i, line in enumerate((pkg / rel).read_text().splitlines(), 1):
+    for f in sorted(pkg.rglob("*.py")):
+        rel = f.relative_to(pkg).as_posix()
+        for i, line in enumerate(f.read_text().splitlines(), 1):
             if ".map_groups(" in line:
                 bad.append(f"{rel}:{i}: {line.strip()}")
-    for i, line in enumerate((pkg / "pipelines/text_analysis.py").read_text().splitlines(), 1):
-        if "ray.data.read_parquet(" in line:
-            bad.append(f"pipelines/text_analysis.py:{i}: {line.strip()}")
+    for name in ("text_analysis", "relational", "spans", "splits", "bpe"):
+        rel = f"pipelines/{name}.py"
+        for i, line in enumerate((pkg / rel).read_text().splitlines(), 1):
+            if "ray.data.read_parquet(" in line:
+                bad.append(f"{rel}:{i}: {line.strip()}")
     tree = ast.parse((pkg / "stages/exchange.py").read_text())
     (fn,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "pid_of"]
     pid_lines = range(fn.lineno, fn.end_lineno + 1)

@@ -1,6 +1,9 @@
 """text_analysis on the one keyed exchange: its per-partition kernels under
-blocks that hold many partition ids, and its chained exchanges with no
-boundary sampling."""
+blocks that hold many partition ids, and its chained exchanges (and those
+of the relational, spans and splits pipelines) with no boundary
+sampling."""
+
+import sys
 
 import duckdb
 import numpy as np
@@ -9,6 +12,7 @@ import pyarrow.parquet as pq
 import pytest
 from ray.data import DataContext
 
+from audio_feature_extraction_ray.pipelines import relational, spans, splits
 from audio_feature_extraction_ray.pipelines import text_analysis as ta
 from audio_feature_extraction_ray.stages import exchange
 from test_queries_oracle import SF_DIR
@@ -19,12 +23,17 @@ READ_BLOCKS = 6  # below 2 x CPUs, so read_table asks Ray for exactly this many
 
 @pytest.fixture
 def docs_sf(tmp_path, monkeypatch):
-    """The sf0.001 documents in 10 row groups, read as READ_BLOCKS blocks."""
+    """The sf0.001 documents in 10 row groups, read as READ_BLOCKS blocks,
+    and its lineitem in 3 row groups, read as several blocks."""
     pq.write_table(pq.read_table(DOCS), tmp_path / "documents.parquet", row_group_size=50)
+    pq.write_table(
+        pq.read_table(f"{SF_DIR}/lineitem.parquet"), tmp_path / "lineitem.parquet", row_group_size=2000
+    )
     nbytes = exchange._footer_bytes([str(tmp_path / "documents.parquet")])
     min_block = -(-nbytes // READ_BLOCKS)
     monkeypatch.setattr(DataContext.get_current(), "target_min_block_size", min_block)
     assert exchange.predicted_num_blocks(ta._read_docs(str(tmp_path))) == READ_BLOCKS
+    assert exchange.predicted_num_blocks(relational._read(str(tmp_path), "lineitem")) > 1
     return str(tmp_path)
 
 
@@ -86,12 +95,16 @@ def test_per_partition_kernels_restart_in_a_many_partition_block(
         ("token_typo_pairs", ta.token_typo_pairs, 3),
         ("docs_bigram_topk", ta.bigram_topk, 1),
         ("docs_hapax_ratio", ta.docs_hapax_ratio, 2),
+        ("part_affinity_pairs", relational.part_affinity_pairs, 2),
+        ("docs_dup_spans", spans.dup_spans, 2),
+        ("docs_split_stats", splits.docs_split_stats, 1),
     ],
 )
 def test_text_exchanges_do_not_sample(ray_session, docs_sf, monkeypatch, entry, fn, n_exchanges):
     """Over a predicted multi-block read, every exchange of the entry (the
-    chained ones of tfidf and typo pairs, and hapax's second one over a
-    union) has a predicted R > 1 and sorts on fixed boundaries: Ray's
+    chained ones of tfidf, typo pairs and the affinity pairs, hapax's and
+    dup spans' second one over a union, the split counters' gather) has a
+    predicted R > 1 and sorts on fixed boundaries or gathers: Ray's
     boundary sampling must not be called."""
     from ray.data._internal.planner.exchange.sort_task_spec import SortTaskSpec
 
@@ -105,7 +118,7 @@ def test_text_exchanges_do_not_sample(ray_session, docs_sf, monkeypatch, entry, 
         predicted.append(exchange.predicted_num_blocks(ds))
         return exchange.exchange(ds, *args, **kwargs)
 
-    monkeypatch.setattr(ta, "exchange", recorded)
+    monkeypatch.setattr(sys.modules[fn.__module__], "exchange", recorded)
     res = fn(docs_sf)
     rows = len(res) if isinstance(res, pd.DataFrame) else res.count()
     assert rows > 0
